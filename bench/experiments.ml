@@ -41,7 +41,12 @@ let section id title =
   Printf.printf "%s: %s\n" id title;
   Printf.printf "=======================================================\n%!"
 
+(* Failed shape checks so far; the harness turns a rise during an
+   experiment into that experiment's "mismatch" status. *)
+let mismatches = ref 0
+
 let check name cond =
+  if not cond then incr mismatches;
   Printf.printf "  [%s] %s\n%!" (if cond then "ok" else "SHAPE-MISMATCH") name
 
 (* Accumulated statistics for E11. *)

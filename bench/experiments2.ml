@@ -411,85 +411,117 @@ let cache_warmup () =
         vc_digest = dg_cold;
       }
 
-(* P3 — static FSM-abstraction reachability pre-pass: covers over
-   statically-dead µFSM states are discharged by abstract interpretation
-   instead of being dispatched to simulation/BMC.  Both modes must produce
-   the same report digest (the audit mode re-checks the pruned covers as a
-   trailing batch, tripping a hard failure on any unsound prune). *)
+(* P3 — static pre-decider identity, table-driven over {engine workload,
+   gated demo DUV} x {On, Off, Audit} ({!Mc.Prune}).  The FSM abstraction,
+   the taint cone and their known-bits refinements prove covers dead; On
+   discharges them without checker calls, Off and Audit re-dispatch every
+   one of them as a trailing property (Audit hard-fails on any reachable
+   one), and all three modes land on the same report digest. *)
 
-type static_prune_record = {
-  st_pruned : int;  (* covers discharged statically (pre-pass on) *)
-  st_duv_props_on : int;  (* duv_pl properties dispatched with the pre-pass *)
-  st_duv_props_off : int;  (* ... and without (includes the audit batch) *)
-  st_t_on : float;
-  st_t_off : float;
-  st_equal : bool;  (* digests identical across modes *)
-  st_digest : string;
+type prune_row = {
+  pr_workload : string;
+  pr_synth_static : int;  (* uPATH covers the FSM abstraction pruned (On) *)
+  pr_synth_absint : int;  (* ... its known-bits refinement pruned beyond it *)
+  pr_flow_static : int;  (* IFT covers the taint cone pruned (On) *)
+  pr_flow_absint : int;  (* ... its known-bits refinement pruned beyond it *)
+  pr_trailing : int;  (* trailing properties under Off and Audit *)
+  pr_t_on : float;
+  pr_t_off : float;
+  pr_t_audit : float;
+  pr_equal : bool;  (* digests identical across the three modes *)
+  pr_digest : string;
 }
 
-let static_prune_result : static_prune_record option ref = ref None
+let prune_result : prune_row list ref = ref []
 
-let static_prune_bench () =
+let prune_bench () =
   section "P3"
-    "Static reachability pre-pass - covers pruned vs dispatched, cold wall-clock";
+    "Static pre-deciders - covers pruned vs re-dispatched, digest identity \
+     across --prune on/off/audit";
   let design, stimulus, instructions, transmitters, light_config =
     engine_workload ()
   in
-  let run_with static_prune =
-    let t0 = Unix.gettimeofday () in
-    let r =
-      Synthlc.Engine.run ~config:light_config ~synth_config:light_config
-        ~static_prune ~stimulus ~design ~jobs:1
-        ~exclude_sources:[ "IF"; "scbCmt" ]
-        ~instructions ~transmitters
-        ~kinds:[ Synthlc.Types.Intrinsic; Synthlc.Types.Dynamic_older ]
-        ~revisit_count_labels:[ "divU" ] ~iuv_pc:Designs.Core.iuv_pc ()
+  let engine prune =
+    Synthlc.Engine.run ~config:light_config ~synth_config:light_config ~prune
+      ~stimulus ~design ~jobs:1
+      ~exclude_sources:[ "IF"; "scbCmt" ]
+      ~instructions ~transmitters
+      ~kinds:[ Synthlc.Types.Intrinsic; Synthlc.Types.Dynamic_older ]
+      ~revisit_count_labels:[ "divU" ] ~iuv_pc:Designs.Core.iuv_pc ()
+  in
+  let gated_config =
+    {
+      Checker.default_config with
+      Checker.bmc_depth = 10;
+      sim_episodes = 8;
+      sim_cycles = 16;
+    }
+  in
+  let gated prune =
+    Synthlc.Engine.run ~config:gated_config ~synth_config:gated_config ~prune
+      ~design:(fun () -> Designs.Gated.build ())
+      ~jobs:1
+      ~instructions:[ Isa.make ~rd:1 ~rs1:2 ~rs2:3 Isa.ADD ]
+      ~transmitters:[ Isa.ADD ]
+      ~kinds:[ Synthlc.Types.Intrinsic ]
+      ~revisit_count_labels:[] ~iuv_pc:Designs.Gated.iuv_pc ()
+  in
+  let sum f (r : Synthlc.Engine.report) =
+    List.fold_left (fun a t -> a + f t) 0 r.Synthlc.Engine.transponders
+  in
+  let duv f (t : Synthlc.Engine.transponder_report) =
+    f (List.assoc "duv_pl" t.Synthlc.Engine.synth.Mupath.Synth.stage_stats)
+  in
+  let row name run =
+    let timed prune =
+      let t0 = Unix.gettimeofday () in
+      let r = run prune in
+      (Unix.gettimeofday () -. t0, r)
     in
-    (Unix.gettimeofday () -. t0, r)
+    let t_on, r_on = timed Mc.Prune.On in
+    let t_off, r_off = timed Mc.Prune.Off in
+    let t_audit, r_audit = timed Mc.Prune.Audit in
+    let synth_static = sum (duv (fun s -> s.Mupath.Synth.pruned_static)) r_on in
+    let synth_absint = sum (duv (fun s -> s.Mupath.Synth.pruned_absint)) r_on in
+    let flow_static = r_on.Synthlc.Engine.total_flow_pruned_static in
+    let flow_absint = r_on.Synthlc.Engine.total_flow_pruned_absint in
+    let pruned = synth_static + synth_absint + flow_static + flow_absint in
+    (* Trailing properties: the extra duv_pl properties plus the Flow batch. *)
+    let trailing r =
+      sum (duv (fun s -> s.Mupath.Synth.props)) r
+      - sum (duv (fun s -> s.Mupath.Synth.props)) r_on
+      + sum (fun t -> t.Synthlc.Engine.flow_trailing) r
+    in
+    let d = Synthlc.Engine.report_digest in
+    let equal = d r_on = d r_off && d r_on = d r_audit in
+    Printf.printf
+      "  %-7s on %6.1fs, off %6.1fs, audit %6.1fs; pruned: %d FSM + %d known-bits \
+       (uPATH), %d taint + %d known-bits (IFT); trailing off %d, audit %d\n"
+      name t_on t_off t_audit synth_static synth_absint flow_static flow_absint
+      (trailing r_off) (trailing r_audit);
+    Printf.printf "  %-7s report digests: on %s, off %s, audit %s\n" name (d r_on)
+      (d r_off) (d r_audit);
+    check (name ^ ": prunes at least one cover") (pruned > 0);
+    check (name ^ ": every pruned cover reappears as a trailing property")
+      (trailing r_off = pruned && trailing r_audit = pruned);
+    check (name ^ ": report digest identical across modes") equal;
+    {
+      pr_workload = name;
+      pr_synth_static = synth_static;
+      pr_synth_absint = synth_absint;
+      pr_flow_static = flow_static;
+      pr_flow_absint = flow_absint;
+      pr_trailing = trailing r_off;
+      pr_t_on = t_on;
+      pr_t_off = t_off;
+      pr_t_audit = t_audit;
+      pr_equal = equal;
+      pr_digest = d r_on;
+    }
   in
-  let t_on, r_on = run_with true in
-  let t_off, r_off = run_with false in
-  let duv_stage (r : Synthlc.Engine.report) =
-    List.map
-      (fun (t : Synthlc.Engine.transponder_report) ->
-        List.assoc "duv_pl" t.Synthlc.Engine.synth.Mupath.Synth.stage_stats)
-      r.Synthlc.Engine.transponders
-  in
-  let sum f l = List.fold_left (fun a s -> a + f s) 0 l in
-  let pruned =
-    sum (fun (s : Mupath.Synth.stage_stats) -> s.Mupath.Synth.pruned_static)
-      (duv_stage r_on)
-  in
-  let props_on =
-    sum (fun (s : Mupath.Synth.stage_stats) -> s.Mupath.Synth.props)
-      (duv_stage r_on)
-  in
-  let props_off =
-    sum (fun (s : Mupath.Synth.stage_stats) -> s.Mupath.Synth.props)
-      (duv_stage r_off)
-  in
-  let dg_on = Synthlc.Engine.report_digest r_on in
-  let dg_off = Synthlc.Engine.report_digest r_off in
-  Printf.printf "  pre-pass on : %6.1fs (%d duv_pl properties, %d pruned statically)\n"
-    t_on props_on pruned;
-  Printf.printf "  pre-pass off: %6.1fs (%d duv_pl properties incl. audit batch)\n"
-    t_off props_off;
-  Printf.printf "  report digests: on %s, off %s\n" dg_on dg_off;
-  check "pre-pass prunes at least one cover" (pruned > 0);
-  check "every pruned cover reappears as an audit property"
-    (props_off = props_on + pruned);
-  check "report digest identical across modes" (dg_on = dg_off);
-  static_prune_result :=
-    Some
-      {
-        st_pruned = pruned;
-        st_duv_props_on = props_on;
-        st_duv_props_off = props_off;
-        st_t_on = t_on;
-        st_t_off = t_off;
-        st_equal = dg_on = dg_off;
-        st_digest = dg_on;
-      }
+  let engine_row = row "engine" engine in
+  let gated_row = row "gated" gated in
+  prune_result := [ engine_row; gated_row ]
 
 (* P4 — observability overhead: the obs layer's contract is that
    instrumented hot paths cost nothing measurable while tracing is off
@@ -629,69 +661,6 @@ let ablation_sim_assist () =
     (t_on < t_off
     || r_on.Mupath.Synth.checker_stats.Checker.Stats.n_props
        < r_off.Mupath.Synth.checker_stats.Checker.Stats.n_props)
-
-(* P5 — static taint-flow pre-pass: IFT covers whose destinations lie
-   outside the static taint cone of the operand register are discharged
-   without a checker call.  Pruning must not perturb the report: the
-   prune-off run trails the same covers behind an identical mid-stream
-   checker sequence, so both modes land on the same digest (any divergence
-   would mean the word-level abstraction dropped a reachable flow). *)
-
-type static_flow_record = {
-  sf_pruned : int;  (* IFT covers discharged statically (prune on) *)
-  sf_flow_props : int;  (* flow covers considered (same in both modes) *)
-  sf_t_on : float;
-  sf_t_off : float;
-  sf_equal : bool;  (* digests identical across modes *)
-  sf_digest : string;
-}
-
-let static_flow_result : static_flow_record option ref = ref None
-
-let static_flow_bench () =
-  section "P5"
-    "Static taint-flow pre-pass - IFT covers pruned vs dispatched, cold wall-clock";
-  let design, stimulus, instructions, transmitters, light_config =
-    engine_workload ()
-  in
-  let run_with static_flow_prune =
-    let t0 = Unix.gettimeofday () in
-    let r =
-      Synthlc.Engine.run ~config:light_config ~synth_config:light_config
-        ~static_flow_prune ~stimulus ~design ~jobs:1
-        ~exclude_sources:[ "IF"; "scbCmt" ]
-        ~instructions ~transmitters
-        ~kinds:[ Synthlc.Types.Intrinsic; Synthlc.Types.Dynamic_older ]
-        ~revisit_count_labels:[ "divU" ] ~iuv_pc:Designs.Core.iuv_pc ()
-    in
-    (Unix.gettimeofday () -. t0, r)
-  in
-  let t_on, r_on = run_with Synthlc.Types.Prune_on in
-  let t_off, r_off = run_with Synthlc.Types.Prune_off in
-  let pruned = r_on.Synthlc.Engine.total_flow_pruned_static in
-  let dg_on = Synthlc.Engine.report_digest r_on in
-  let dg_off = Synthlc.Engine.report_digest r_off in
-  Printf.printf
-    "  pre-pass on : %6.1fs (%d IFT covers, %d discharged statically)\n" t_on
-    r_on.Synthlc.Engine.total_flow_props pruned;
-  Printf.printf "  pre-pass off: %6.1fs (%d IFT covers, all dispatched)\n"
-    t_off r_off.Synthlc.Engine.total_flow_props;
-  Printf.printf "  report digests: on %s, off %s\n" dg_on dg_off;
-  check "pre-pass discharges at least one IFT cover" (pruned > 0);
-  check "both modes consider the same covers"
-    (r_on.Synthlc.Engine.total_flow_props
-    = r_off.Synthlc.Engine.total_flow_props);
-  check "report digest identical across modes" (dg_on = dg_off);
-  static_flow_result :=
-    Some
-      {
-        sf_pruned = pruned;
-        sf_flow_props = r_on.Synthlc.Engine.total_flow_props;
-        sf_t_on = t_on;
-        sf_t_off = t_off;
-        sf_equal = dg_on = dg_off;
-        sf_digest = dg_on;
-      }
 
 (* P6 — incremental-SAT overhaul: structural hashing (CSE) in the Tseitin
    encoder plus clause-DB reduction in the solver, measured on a cold

@@ -80,14 +80,10 @@ let fuzz_campaign () =
 
 (* P8 — known-bits abstract interpretation (DESIGN.md §17).
 
-   One dataflow core ({!Hdl.Absint}) feeds three clients; this experiment
-   pins each one's contract:
+   One dataflow core ({!Hdl.Absint}) feeds three clients.  The prune
+   client's contract is pinned by P3 (the gated row); this experiment pins
+   the other two:
 
-   - prune: the gated demo DUV's "gate" µFSM keeps two states the plain
-     FSM abstraction cannot kill but known-bits can — the absint prune
-     must discharge both, and the report digest must be bit-identical
-     across --absint on/off/audit (pruned counters are digest-excluded,
-     pruned state names are digest-included in every mode);
    - SAT substitution: re-running the P6 cover batch with
      [Checker.known_bits] off must allocate strictly more induction-side
      solver variables while synthesizing the identical µPATH set (the
@@ -97,13 +93,6 @@ let fuzz_campaign () =
      designs (all informational — built-ins stay warning-free). *)
 
 type absint_row = {
-  ab_covers_pruned : int;  (* absint-discharged covers, mode on *)
-  ab_pruned_static : int;  (* base static prune, for scale *)
-  ab_t_on : float;
-  ab_t_off : float;
-  ab_t_audit : float;
-  ab_equal : bool;  (* digests identical across on/off/audit *)
-  ab_digest : string;
   ab_vars_kb_on : int;  (* induction solver vars, known-bits on *)
   ab_vars_kb_off : int;
   ab_kb_equal : bool;  (* substitution preserves the synthesized set *)
@@ -114,9 +103,7 @@ let absint_result : absint_row option ref = ref None
 
 let absint_bench () =
   section "P8"
-    "Known-bits absint - tri-mode prune identity, SAT substitution, A-series \
-     lint";
-  (* Tri-mode engine runs on the gated demo DUV (see Designs.Gated). *)
+    "Known-bits absint - SAT substitution, A-series lint";
   let gated_config =
     {
       Mc.Checker.default_config with
@@ -125,51 +112,6 @@ let absint_bench () =
       sim_cycles = 16;
     }
   in
-  let run_gated absint =
-    let t0 = Unix.gettimeofday () in
-    let r =
-      Synthlc.Engine.run ~config:gated_config ~synth_config:gated_config
-        ~absint
-        ~design:(fun () -> Designs.Gated.build ())
-        ~jobs:1
-        ~instructions:[ Isa.make ~rd:1 ~rs1:2 ~rs2:3 Isa.ADD ]
-        ~transmitters:[ Isa.ADD ]
-        ~kinds:[ Synthlc.Types.Intrinsic ]
-        ~revisit_count_labels:[] ~iuv_pc:Designs.Gated.iuv_pc ()
-    in
-    (Unix.gettimeofday () -. t0, r)
-  in
-  let t_on, r_on = run_gated Synthlc.Types.Prune_on in
-  let t_off, r_off = run_gated Synthlc.Types.Prune_off in
-  let t_audit, r_audit = run_gated Synthlc.Types.Prune_audit in
-  let sum_stage f (r : Synthlc.Engine.report) =
-    List.fold_left
-      (fun acc (t : Synthlc.Engine.transponder_report) ->
-        List.fold_left
-          (fun acc (_, (s : Mupath.Synth.stage_stats)) -> acc + f s)
-          acc t.Synthlc.Engine.synth.Mupath.Synth.stage_stats)
-      0 r.Synthlc.Engine.transponders
-  in
-  let covers_pruned =
-    sum_stage (fun s -> s.Mupath.Synth.pruned_absint) r_on
-  in
-  let pruned_static =
-    sum_stage (fun s -> s.Mupath.Synth.pruned_static) r_on
-  in
-  let dg_on = Synthlc.Engine.report_digest r_on in
-  let dg_off = Synthlc.Engine.report_digest r_off in
-  let dg_audit = Synthlc.Engine.report_digest r_audit in
-  Printf.printf
-    "  absint on   : %6.1fs (%d covers known-bits-pruned, %d static-pruned)\n"
-    t_on covers_pruned pruned_static;
-  Printf.printf "  absint off  : %6.1fs (pruned covers re-dispatched)\n" t_off;
-  Printf.printf "  absint audit: %6.1fs\n" t_audit;
-  Printf.printf "  report digests: on %s, off %s, audit %s\n" dg_on dg_off
-    dg_audit;
-  check "known-bits prune discharges covers beyond the FSM abstraction"
-    (covers_pruned > 0);
-  check "report digest identical across absint on/off/audit"
-    (dg_on = dg_off && dg_on = dg_audit);
   (* SAT substitution on a cold cover batch (the P6 batch shape, on the
      gated DUV — the workload with register-level known bits in both
      profiles): same synthesized set, fewer induction-side solver
@@ -239,13 +181,6 @@ let absint_bench () =
   absint_result :=
     Some
       {
-        ab_covers_pruned = covers_pruned;
-        ab_pruned_static = pruned_static;
-        ab_t_on = t_on;
-        ab_t_off = t_off;
-        ab_t_audit = t_audit;
-        ab_equal = dg_on = dg_off && dg_on = dg_audit;
-        ab_digest = dg_on;
         ab_vars_kb_on = vars_kb;
         ab_vars_kb_off = vars_plain;
         ab_kb_equal = kb_equal;
@@ -365,27 +300,25 @@ let frontend_bench () =
 
 (* P10 — equivalence-aware netlist reduction (DESIGN.md §19).
 
-   Three contracts of the SAT sweep, pinned on gate-level variants
-   produced by {!Hdl.Gateify} (the committed examples/ibex_lite_gl.json
-   is this lowering serialized):
+   Three contracts of the SAT sweep and the canonical witnesses it relies
+   on, pinned on gate-level variants produced by {!Hdl.Gateify} (the
+   committed examples/ibex_lite_gl.json is this lowering serialized):
 
    - reduction: the gate-level ibex_lite sweeps at least 20% of its
      combinational nodes away (merge ratio is a semantic gate key);
-   - tri-mode identity: a synthesis run over the gate-level gated DUV is
-     report-digest-identical with sweep off / on / audit, and identical
-     to the word-level original — canonical witnesses make the verdict
-     stream encoding-independent;
+   - cross-variant identity: a synthesis run over the gate-level gated
+     DUV is report-digest-identical to the word-level original —
+     canonical witnesses make the verdict stream encoding-independent;
    - semantic cache: a cold gate-level run fills the behavioral-key
      namespace and the word-level original replays from it warm with
-     zero misses.  Wall-clock (off vs on) stays warn-only. *)
+     zero misses.  Wall-clock stays warn-only. *)
 
 type sweep_row = {
   sw_comb_nodes : int;  (* gate-level ibex_lite combinational nodes *)
   sw_merged : int;  (* nodes swept away *)
   sw_classes : int;  (* proven classes with at least one merge *)
-  sw_t_off : float;  (* gl gated synth, sweep off *)
-  sw_t_on : float;  (* gl gated synth, sweep on *)
-  sw_equal : bool;  (* digest identical off/on/audit + word-level *)
+  sw_t_gl : float;  (* gl gated synth *)
+  sw_equal : bool;  (* gl digest identical to word-level *)
   sw_digest : string;
   sw_sem_hits : int;  (* warm word-level run, semantic namespace *)
   sw_sem_misses : int;
@@ -408,8 +341,8 @@ let gl_variant ~stimulus ~iuv_pc build =
 
 let sweep_bench () =
   section "P10"
-    "Equivalence sweep - gate-level reduction, tri-mode identity, semantic \
-     cache";
+    "Equivalence sweep - gate-level reduction, cross-variant identity, \
+     semantic cache";
   (* Reduction ratio on the gate-level ibex_lite. *)
   let gl_ibex =
     gl_variant ~stimulus:Frontend.Sidecar.S_ibex ~iuv_pc:2 Designs.Ibex.build
@@ -430,7 +363,7 @@ let sweep_bench () =
     stats.Hdl.Equiv.classes stats.Hdl.Equiv.sat_queries;
   check "gate-level sweep merges at least 20% of combinational nodes"
     (ratio >= 0.20);
-  (* Tri-mode synthesis identity on the gate-level gated DUV. *)
+  (* Cross-variant synthesis identity on the gated DUV. *)
   let gated_config =
     {
       Mc.Checker.default_config with
@@ -443,43 +376,33 @@ let sweep_bench () =
     gl_variant ~stimulus:Frontend.Sidecar.S_none ~iuv_pc:Designs.Gated.iuv_pc
       Designs.Gated.build
   in
-  let run ?cache ?(semantic_cache = false) ~sweep meta =
+  let run ?cache ?(semantic_cache = false) meta =
     let t0 = Unix.gettimeofday () in
     let r =
-      Mupath.Synth.run ?cache ~semantic_cache
-        ~config:{ gated_config with Mc.Checker.sweep }
-        ~meta
+      Mupath.Synth.run ?cache ~semantic_cache ~config:gated_config ~meta
         ~iuv:(Isa.make ~rd:1 ~rs1:2 ~rs2:3 Isa.ADD)
         ~iuv_pc:Designs.Gated.iuv_pc ()
     in
     (Unix.gettimeofday () -. t0, r)
   in
-  let t_off, r_off = run ~sweep:Mc.Checker.Sweep_off (gl_gated ()) in
-  let t_on, r_on = run ~sweep:Mc.Checker.Sweep_on (gl_gated ()) in
-  let t_audit, r_audit = run ~sweep:Mc.Checker.Sweep_audit (gl_gated ()) in
-  let _, r_word = run ~sweep:Mc.Checker.Sweep_off (Designs.Gated.build ()) in
-  let dg_off = Mupath.Synth.result_digest r_off in
-  let dg_on = Mupath.Synth.result_digest r_on in
-  let dg_audit = Mupath.Synth.result_digest r_audit in
+  let t_gl, r_gl = run (gl_gated ()) in
+  let _, r_word = run (Designs.Gated.build ()) in
+  let dg_gl = Mupath.Synth.result_digest r_gl in
   let dg_word = Mupath.Synth.result_digest r_word in
-  Printf.printf "  gl gated: off %.1fs, on %.1fs, audit %.1fs\n" t_off t_on
-    t_audit;
-  Printf.printf "  report digests: off %s, on %s, audit %s, word-level %s\n"
-    dg_off dg_on dg_audit dg_word;
-  let equal = dg_off = dg_on && dg_off = dg_audit && dg_off = dg_word in
-  check "report digest identical across sweep off/on/audit and variants" equal;
+  Printf.printf "  gl gated: %.1fs\n" t_gl;
+  Printf.printf "  report digests: gate-level %s, word-level %s\n" dg_gl dg_word;
+  let equal = dg_gl = dg_word in
+  check "report digest identical across gate-level and word-level" equal;
   (* Semantic cache: cold gate-level fill, warm word-level replay. *)
   let dir = "_vcache_sweep_bench" in
   ignore (Vcache.clear_dir ~dir);
   let cold = Vcache.create ~dir () in
   let _, r_cold =
-    run ~cache:cold ~semantic_cache:true ~sweep:Mc.Checker.Sweep_on
-      (gl_gated ())
+    run ~cache:cold ~semantic_cache:true (gl_gated ())
   in
   let warm = Vcache.create ~dir () in
   let _, r_warm =
-    run ~cache:warm ~semantic_cache:true ~sweep:Mc.Checker.Sweep_on
-      (Designs.Gated.build ())
+    run ~cache:warm ~semantic_cache:true (Designs.Gated.build ())
   in
   let hits, misses, _ = Vcache.counters warm in
   let sem_equal =
@@ -500,10 +423,9 @@ let sweep_bench () =
         sw_comb_nodes = stats.Hdl.Equiv.comb_nodes;
         sw_merged = stats.Hdl.Equiv.merged;
         sw_classes = stats.Hdl.Equiv.classes;
-        sw_t_off = t_off;
-        sw_t_on = t_on;
+        sw_t_gl = t_gl;
         sw_equal = equal;
-        sw_digest = dg_off;
+        sw_digest = dg_gl;
         sw_sem_hits = hits;
         sw_sem_misses = misses;
         sw_sem_equal = sem_equal;

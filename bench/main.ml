@@ -28,9 +28,8 @@ let experiments =
     ("A2", Experiments2.ablation_sim_assist);
     ("P1", Experiments2.parallel_speedup);
     ("P2", Experiments2.cache_warmup);
-    ("P3", Experiments2.static_prune_bench);
+    ("P3", Experiments2.prune_bench);
     ("P4", Experiments2.obs_overhead);
-    ("P5", Experiments2.static_flow_bench);
     ("P6", Experiments2.sat_bench);
     ("P7", Experiments3.fuzz_campaign);
     ("P8", Experiments3.absint_bench);
@@ -170,20 +169,19 @@ let write_json path ~profile ~jobs ~total rows =
       c.Experiments2.vc_calls c.Experiments2.vc_hits c.Experiments2.vc_hit_rate
       c.Experiments2.vc_equal c.Experiments2.vc_digest
   | None -> add "  \"cache\": null,\n");
-  (match !Experiments2.static_prune_result with
-  | Some s ->
-    add "  \"static_prune\": {\"covers_pruned\": %d, \"duv_props_on\": %d, \"duv_props_off\": %d, \"t_on_s\": %.3f, \"t_off_s\": %.3f, \"digest_identical\": %b, \"report_digest\": \"%s\"},\n"
-      s.Experiments2.st_pruned s.Experiments2.st_duv_props_on
-      s.Experiments2.st_duv_props_off s.Experiments2.st_t_on
-      s.Experiments2.st_t_off s.Experiments2.st_equal s.Experiments2.st_digest
-  | None -> add "  \"static_prune\": null,\n");
-  (match !Experiments2.static_flow_result with
-  | Some s ->
-    add "  \"static_flow\": {\"covers_pruned\": %d, \"flow_props\": %d, \"t_on_s\": %.3f, \"t_off_s\": %.3f, \"digest_identical\": %b, \"report_digest\": \"%s\"},\n"
-      s.Experiments2.sf_pruned s.Experiments2.sf_flow_props
-      s.Experiments2.sf_t_on s.Experiments2.sf_t_off s.Experiments2.sf_equal
-      s.Experiments2.sf_digest
-  | None -> add "  \"static_flow\": null,\n");
+  (match !Experiments2.prune_result with
+  | [] -> add "  \"prune\": null,\n"
+  | rows ->
+    add "  \"prune\": {%s},\n"
+      (String.concat ", "
+         (List.map
+            (fun (r : Experiments2.prune_row) ->
+              Printf.sprintf
+                "\"%s\": {\"synth_static\": %d, \"synth_absint\": %d, \"flow_static\": %d, \"flow_absint\": %d, \"trailing\": %d, \"t_on_s\": %.3f, \"t_off_s\": %.3f, \"t_audit_s\": %.3f, \"digest_identical\": %b, \"report_digest\": \"%s\"}"
+                r.pr_workload r.pr_synth_static r.pr_synth_absint
+                r.pr_flow_static r.pr_flow_absint r.pr_trailing r.pr_t_on
+                r.pr_t_off r.pr_t_audit r.pr_equal r.pr_digest)
+            rows)));
   (match !Experiments2.sat_result with
   | Some s ->
     add "  \"sat\": {\"t_legacy_s\": %.3f, \"t_new_s\": %.3f, \"speedup\": %.3f, \"conflicts_legacy\": %.0f, \"conflicts_new\": %.0f, \"cse_hits\": %d, \"cse_lookups\": %d, \"cse_hit_rate\": %.4f, \"reduce_events\": %d, \"learnt_peak\": %d, \"portfolio_domains\": %d, \"t_seq_s\": %.3f, \"t_portfolio_s\": %.3f, \"digest_identical\": %b, \"report_digest\": \"%s\"},\n"
@@ -206,10 +204,7 @@ let write_json path ~profile ~jobs ~total rows =
   | None -> add "  \"fuzz\": null,\n");
   (match !Experiments3.absint_result with
   | Some a ->
-    add "  \"absint\": {\"covers_pruned\": %d, \"pruned_static\": %d, \"t_on_s\": %.3f, \"t_off_s\": %.3f, \"t_audit_s\": %.3f, \"digest_identical\": %b, \"report_digest\": \"%s\", \"vars_kb_on\": %d, \"vars_kb_off\": %d, \"kb_set_identical\": %b, \"lint_info\": %d},\n"
-      a.Experiments3.ab_covers_pruned a.Experiments3.ab_pruned_static
-      a.Experiments3.ab_t_on a.Experiments3.ab_t_off a.Experiments3.ab_t_audit
-      a.Experiments3.ab_equal a.Experiments3.ab_digest
+    add "  \"absint\": {\"vars_kb_on\": %d, \"vars_kb_off\": %d, \"kb_set_identical\": %b, \"lint_info\": %d},\n"
       a.Experiments3.ab_vars_kb_on a.Experiments3.ab_vars_kb_off
       a.Experiments3.ab_kb_equal a.Experiments3.ab_lint_info
   | None -> add "  \"absint\": null,\n");
@@ -224,10 +219,9 @@ let write_json path ~profile ~jobs ~total rows =
   | None -> add "  \"frontend\": null,\n");
   (match !Experiments3.sweep_result with
   | Some s ->
-    add "  \"sweep\": {\"comb_nodes\": %d, \"merged\": %d, \"classes\": %d, \"t_off_s\": %.3f, \"t_on_s\": %.3f, \"digest_identical\": %b, \"report_digest\": \"%s\", \"sem_hits\": %d, \"sem_misses\": %d, \"sem_identical\": %b},\n"
+    add "  \"sweep\": {\"comb_nodes\": %d, \"merged\": %d, \"classes\": %d, \"t_gl_s\": %.3f, \"digest_identical\": %b, \"report_digest\": \"%s\", \"sem_hits\": %d, \"sem_misses\": %d, \"sem_identical\": %b},\n"
       s.Experiments3.sw_comb_nodes s.Experiments3.sw_merged
-      s.Experiments3.sw_classes s.Experiments3.sw_t_off s.Experiments3.sw_t_on
-      s.Experiments3.sw_equal s.Experiments3.sw_digest
+      s.Experiments3.sw_classes s.Experiments3.sw_t_gl s.Experiments3.sw_equal s.Experiments3.sw_digest
       s.Experiments3.sw_sem_hits s.Experiments3.sw_sem_misses
       s.Experiments3.sw_sem_equal
   | None -> add "  \"sweep\": null,\n");
@@ -307,6 +301,7 @@ let () =
           | None -> false
         in
         let p0 = bucket_props () in
+        let m0 = !Experiments.mismatches in
         let te = Unix.gettimeofday () in
         let status =
           if over_budget then begin
@@ -316,7 +311,9 @@ let () =
           else
             try
               f ();
-              "ok"
+              (* A failed shape check fails the experiment, so the bench
+                 gate (which compares statuses) sees it. *)
+              if !Experiments.mismatches > m0 then "mismatch" else "ok"
             with e ->
               Printf.printf "  [EXPERIMENT-ERROR] %s: %s\n%!" id
                 (Printexc.to_string e);

@@ -162,66 +162,25 @@ let cache_dir_arg =
 
 let cache_of = Option.map (fun dir -> Vcache.create ~dir ())
 
-let no_static_prune_arg =
+let prune_arg =
+  let prune_conv =
+    let parse m =
+      Option.to_result (Mc.Prune.of_string m)
+        ~none:(`Msg (Printf.sprintf "invalid prune mode %S (expected on, off, or audit)" m))
+    in
+    Arg.conv (parse, fun fmt m -> Format.pp_print_string fmt (Mc.Prune.to_string m))
+  in
   let doc =
-    "Disable the static FSM-abstraction reachability pre-pass: dispatch \
-     covers over statically-unreachable states to the model checker as a \
-     trailing audit batch instead of discharging them statically.  The \
-     report digest is bit-identical either way; this flag exists to audit \
-     the abstraction (an unsound verdict fails the run)."
+    "Static pre-deciders (FSM abstraction, taint cone, and their known-bits \
+     refinements): $(b,on) (default) discharges the covers they prove dead \
+     without checker calls; $(b,off) dispatches those covers as a trailing \
+     batch after the main stream (the IFT stage tags a reachable one, \
+     uPATH synthesis fails on it); $(b,audit) dispatches the same batch and \
+     fails the run on any reachable verdict, naming the analysis that \
+     proved it dead.  All modes issue the same mid-stream checker sequence, \
+     so the report digest is bit-identical across them."
   in
-  Arg.(value & flag & info [ "no-static-prune" ] ~doc)
-
-let flow_prune_conv =
-  let parse = function
-    | "on" -> Ok Synthlc.Types.Prune_on
-    | "off" -> Ok Synthlc.Types.Prune_off
-    | "audit" -> Ok Synthlc.Types.Prune_audit
-    | s -> Error (`Msg (Printf.sprintf "invalid prune mode %S (expected on, off, or audit)" s))
-  in
-  let print fmt m = Format.pp_print_string fmt (Synthlc.Types.prune_mode_name m) in
-  Arg.conv (parse, print)
-
-let static_flow_prune_arg =
-  let doc =
-    "Static taint-flow pre-pass over the IFT covers: $(b,on) (default) \
-     discharges covers whose destinations lie outside the operand's static \
-     taint cone without checker calls; $(b,off) dispatches them as a \
-     trailing batch and trusts the checker; $(b,audit) dispatches the same \
-     batch but fails the run on any reachable verdict (the unsoundness \
-     tripwire).  All modes issue the same mid-stream checker sequence, so \
-     the report digest is bit-identical across them."
-  in
-  Arg.(
-    value
-    & opt flow_prune_conv Synthlc.Types.Prune_on
-    & info [ "static-flow-prune" ] ~docv:"MODE" ~doc)
-
-let no_static_flow_prune_arg =
-  let doc = "Shorthand for $(b,--static-flow-prune=audit)." in
-  Arg.(value & flag & info [ "no-static-flow-prune" ] ~doc)
-
-let absint_arg =
-  let doc =
-    "Known-bits abstract-interpretation pruning: $(b,on) (default) \
-     discharges the extra µPATH covers and IFT covers the known-bits \
-     refinement proves unreachable beyond the base pre-passes; $(b,off) \
-     dispatches them as a trailing batch and trusts the checker; \
-     $(b,audit) fails the run on any reachable verdict.  All modes issue \
-     the same mid-stream checker sequence, so the report digest is \
-     bit-identical across them."
-  in
-  Arg.(
-    value
-    & opt flow_prune_conv Synthlc.Types.Prune_on
-    & info [ "absint" ] ~docv:"MODE" ~doc)
-
-(* Mupath's absint mode is a structural variant (it cannot depend on
-   Synthlc.Types); the mapping is one-to-one. *)
-let synth_absint_mode = function
-  | Synthlc.Types.Prune_on -> `On
-  | Synthlc.Types.Prune_off -> `Off
-  | Synthlc.Types.Prune_audit -> `Audit
+  Arg.(value & opt prune_conv Mc.Prune.On & info [ "prune" ] ~docv:"MODE" ~doc)
 
 let no_known_bits_arg =
   let doc =
@@ -231,28 +190,6 @@ let no_known_bits_arg =
      report digest is expected to be identical either way."
   in
   Arg.(value & flag & info [ "no-known-bits" ] ~doc)
-
-let sweep_conv =
-  let parse = function
-    | "on" -> Ok Mc.Checker.Sweep_on
-    | "off" -> Ok Mc.Checker.Sweep_off
-    | "audit" -> Ok Mc.Checker.Sweep_audit
-    | s -> Error (`Msg (Printf.sprintf "invalid sweep mode %S (expected on, off, or audit)" s))
-  in
-  let print fmt m = Format.pp_print_string fmt (Mc.Checker.sweep_mode_tag m) in
-  Arg.conv (parse, print)
-
-let sweep_arg =
-  let doc =
-    "Equivalence-sweep the netlist the SAT engines encode: $(b,off) \
-     (default) encodes the design as-is; $(b,on) merges SAT-proven \
-     equivalent combinational nodes before encoding ($(b,Hdl.Equiv)); \
-     $(b,audit) computes with the swept engine and re-runs every \
-     SAT-resolved cover on an unswept engine, failing the run on any \
-     verdict or witness divergence.  Witnesses are canonical, so the \
-     report digest is bit-identical across all three modes."
-  in
-  Arg.(value & opt sweep_conv Mc.Checker.Sweep_off & info [ "sweep" ] ~docv:"MODE" ~doc)
 
 let semantic_cache_arg =
   let doc =
@@ -360,7 +297,7 @@ let dump_cnf_arg =
   in
   Arg.(value & opt (some string) None & info [ "dump-cnf" ] ~docv:"FILE" ~doc)
 
-let config_of depth episodes ~portfolio ~no_cse ~no_known_bits ~sweep =
+let config_of depth episodes ~portfolio ~no_cse ~no_known_bits =
   {
     Mc.Checker.default_config with
     Mc.Checker.bmc_depth = depth;
@@ -371,7 +308,6 @@ let config_of depth episodes ~portfolio ~no_cse ~no_known_bits ~sweep =
     encode_cse = not no_cse;
     known_bits = not no_known_bits;
     portfolio_domains = max 1 portfolio;
-    sweep;
   }
 
 (* `None (e.g. the gated demo) means no program-shaped input protocol: the
@@ -465,22 +401,18 @@ let sim_cmd =
 (* --- mupath ----------------------------------------------------------- *)
 
 let mupath_cmd =
-  let run dname meta_path iuv depth episodes dot counts shards cache_dir nsp
-      absint portfolio no_cse no_known_bits sweep semantic_cache dump_cnf trace
-      metrics =
+  let run dname meta_path iuv depth episodes dot counts shards cache_dir prune
+      portfolio no_cse no_known_bits semantic_cache dump_cnf trace metrics =
     let src = resolve_design ~cmd:"mupath" ?meta:meta_path dname in
     with_obs ~trace ~metrics (fun () ->
         let meta = builder_of ~cmd:"mupath" src () in
         let iuv_pc = iuv_pc_of src in
         let stim = stimulus_of src ~pins:[ (iuv_pc, iuv) ] meta in
-        let config =
-          config_of depth episodes ~portfolio ~no_cse ~no_known_bits ~sweep
-        in
+        let config = config_of depth episodes ~portfolio ~no_cse ~no_known_bits in
         let cache = cache_of cache_dir in
         let r =
           Mupath.Synth.run ?cache ~config ?stimulus:stim ~semantic_cache
-            ~static_prune:(not nsp)
-            ~absint:(synth_absint_mode absint) ?dump_cnf
+            ~prune ?dump_cnf
             ~revisit_count_labels:counts ~shards ~meta ~iuv ~iuv_pc ()
         in
         Format.printf "%a@." Mupath.Synth.pp_result r;
@@ -500,16 +432,16 @@ let mupath_cmd =
     (Cmd.info "mupath" ~doc:"RTL2MuPATH: synthesize the uPATH set for one instruction")
     Term.(
       const run $ design_arg $ meta_arg $ instr_arg $ depth_arg $ episodes_arg
-      $ dot $ counts $ shards_arg $ cache_dir_arg $ no_static_prune_arg
-      $ absint_arg $ portfolio_arg $ no_cse_arg $ no_known_bits_arg
-      $ sweep_arg $ semantic_cache_arg $ dump_cnf_arg $ trace_arg $ metrics_arg)
+      $ dot $ counts $ shards_arg $ cache_dir_arg $ prune_arg $ portfolio_arg
+      $ no_cse_arg $ no_known_bits_arg $ semantic_cache_arg $ dump_cnf_arg
+      $ trace_arg $ metrics_arg)
 
 (* --- synthlc ---------------------------------------------------------- *)
 
 let synthlc_cmd =
   let run dname meta_path instructions txs depth episodes static jobs cache_dir
-      nsp flow_prune no_flow_prune absint imprecise portfolio no_cse
-      no_known_bits sweep semantic_cache dump_cnf trace metrics =
+      prune imprecise portfolio no_cse no_known_bits semantic_cache dump_cnf
+      trace metrics =
     let src = resolve_design ~cmd:"synthlc" ?meta:meta_path dname in
     with_obs ~trace ~metrics @@ fun () ->
     let transmitters =
@@ -518,9 +450,7 @@ let synthlc_cmd =
     let design = builder_of ~cmd:"synthlc" src in
     let iuv_pc = iuv_pc_of src in
     let stimulus = rotating_stimulus_of src in
-    let config =
-      config_of depth episodes ~portfolio ~no_cse ~no_known_bits ~sweep
-    in
+    let config = config_of depth episodes ~portfolio ~no_cse ~no_known_bits in
     let kinds =
       [ Synthlc.Types.Intrinsic; Synthlc.Types.Dynamic_older; Synthlc.Types.Dynamic_younger ]
       @ (if static then [ Synthlc.Types.Static ] else [])
@@ -533,13 +463,9 @@ let synthlc_cmd =
       List.filter (fun l -> List.mem l available) [ "divU"; "mulU"; "ID" ]
     in
     let cache = cache_of cache_dir in
-    let static_flow_prune =
-      if no_flow_prune then Synthlc.Types.Prune_audit else flow_prune
-    in
     let report =
       Synthlc.Engine.run ?cache ~config ~synth_config:config ~semantic_cache
-        ~static_prune:(not nsp) ?dump_cnf ~precise:(not imprecise)
-        ~static_flow_prune ~absint ?stimulus ~design ~jobs ~instructions
+        ~prune ?dump_cnf ~precise:(not imprecise) ?stimulus ~design ~jobs ~instructions
         ~transmitters ~kinds ~revisit_count_labels ~iuv_pc ()
     in
     Format.printf "%a@." Synthlc.Engine.pp_report report;
@@ -571,10 +497,9 @@ let synthlc_cmd =
     (Cmd.info "synthlc" ~doc:"SynthLC: synthesize leakage signatures and contracts")
     Term.(
       const run $ design_arg $ meta_arg $ instrs $ txs $ depth_arg
-      $ episodes_arg $ static $ jobs_arg $ cache_dir_arg $ no_static_prune_arg
-      $ static_flow_prune_arg $ no_static_flow_prune_arg $ absint_arg
+      $ episodes_arg $ static $ jobs_arg $ cache_dir_arg $ prune_arg
       $ imprecise_ift_arg $ portfolio_arg $ no_cse_arg $ no_known_bits_arg
-      $ sweep_arg $ semantic_cache_arg $ dump_cnf_arg $ trace_arg $ metrics_arg)
+      $ semantic_cache_arg $ dump_cnf_arg $ trace_arg $ metrics_arg)
 
 (* --- scsafe ----------------------------------------------------------- *)
 

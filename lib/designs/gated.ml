@@ -6,7 +6,7 @@
    variables), so it reaches all four states; the known-bits refinement
    proves the two upper states dead and the synthesis prune discharges
    their covers without the model checker.  This is the demo workload for
-   the absint prune path — the bench, the CI smoke, and the tri-mode
+   the absint prune path — the bench, the CI smoke, and the prune
    digest-identity test all drive it. *)
 
 module N = Hdl.Netlist

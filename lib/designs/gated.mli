@@ -6,7 +6,7 @@
     the plain FSM-reachability abstraction treats the gating register as
     unconstrained).  The two upper states are therefore base-reachable but
     known-bits-dead: exactly the covers the absint prune discharges.  Used
-    by the bench (P8), the CI absint smoke, and the tri-mode
+    by the bench (P3, P8), the CI prune smoke, and the prune
     digest-identity test. *)
 
 val iuv_pc : int

@@ -8,9 +8,8 @@ type oracle =
   | O_roundtrip
   | O_jobs
   | O_cache_warm
-  | O_prune_modes
+  | O_prune
   | O_portfolio
-  | O_sweep
   | O_grid
 
 type verdict = Pass | Fail of string | Skipped
@@ -37,9 +36,8 @@ let all_oracles =
     O_roundtrip;
     O_jobs;
     O_cache_warm;
-    O_prune_modes;
+    O_prune;
     O_portfolio;
-    O_sweep;
     O_grid;
   ]
 
@@ -51,9 +49,8 @@ let oracle_name = function
   | O_roundtrip -> "roundtrip"
   | O_jobs -> "jobs"
   | O_cache_warm -> "cache-warm"
-  | O_prune_modes -> "prune-modes"
+  | O_prune -> "prune"
   | O_portfolio -> "portfolio"
-  | O_sweep -> "sweep"
   | O_grid -> "grid"
 
 let failure o =
@@ -75,13 +72,11 @@ let config_of ~depth ~episodes ~portfolio =
 (* One Engine.run over the generated design.  Exceptions (including the
    audit tripwires' [failwith]) are turned into [Error msg] so the caller
    can attribute them to the oracle the run serves. *)
-let engine_run ~cache ~depth ~episodes ~jobs ~portfolio ~static_prune
-    ~static_flow_prune ~sweep cfg =
-  let config = { (config_of ~depth ~episodes ~portfolio) with Mc.Checker.sweep } in
+let engine_run ~cache ~depth ~episodes ~jobs ~portfolio ~prune cfg =
+  let config = config_of ~depth ~episodes ~portfolio in
   try
     Ok
-      (Synthlc.Engine.run ~cache ~config ~synth_config:config ~static_prune
-         ~static_flow_prune
+      (Synthlc.Engine.run ~cache ~config ~synth_config:config ~prune
          ~stimulus:(fun ~pins ~rotate meta -> Designs.Stimulus.ibex ~pins ~rotate meta)
          ~design:(fun () -> Gen.build cfg)
          ~jobs
@@ -156,13 +151,9 @@ let run ?(depth = 6) ?(episodes = 3) ?workdir cfg =
       (Printf.sprintf "vcache_%d_%s" (Unix.getpid ()) (Gen.name cfg))
   in
   rm_rf cache_dir;
-  let check_engine ?(sweep = Mc.Checker.Sweep_off) ~jobs ~portfolio
-      ~static_prune ~static_flow_prune ~judge () =
+  let check_engine ?(prune = Mc.Prune.On) ~jobs ~portfolio ~judge () =
     let cache = Vcache.create ~dir:cache_dir () in
-    match
-      engine_run ~cache ~depth ~episodes ~jobs ~portfolio ~static_prune
-        ~static_flow_prune ~sweep cfg
-    with
+    match engine_run ~cache ~depth ~episodes ~jobs ~portfolio ~prune cfg with
     | Error m -> Some m
     | Ok r -> judge cache r
   in
@@ -295,7 +286,7 @@ let run ?(depth = 6) ?(episodes = 3) ?workdir cfg =
                    Some "sidecar round trip changed iuv_pc"
                  else None))
   in
-  (* Baseline cold run: -j1, both prunes on.  Fills the verdict cache and
+  (* Baseline cold run: -j1, prune on.  Fills the verdict cache and
      anchors every digest comparison; a failure here is attributed to the
      jobs oracle only after the -j2 run, so baseline errors surface as
      O_jobs harness messages. *)
@@ -303,8 +294,7 @@ let run ?(depth = 6) ?(episodes = 3) ?workdir cfg =
     continue
     && step O_jobs (fun () ->
            match
-             check_engine ~jobs:1 ~portfolio:1 ~static_prune:true
-               ~static_flow_prune:Synthlc.Types.Prune_on
+             check_engine ~jobs:1 ~portfolio:1
                ~judge:(fun _cache r ->
                  report := Some r;
                  base_digest := Synthlc.Engine.report_digest r;
@@ -313,8 +303,7 @@ let run ?(depth = 6) ?(episodes = 3) ?workdir cfg =
            with
            | Some m -> Some ("baseline run: " ^ m)
            | None ->
-             check_engine ~jobs:2 ~portfolio:1 ~static_prune:true
-               ~static_flow_prune:Synthlc.Types.Prune_on
+             check_engine ~jobs:2 ~portfolio:1
                ~judge:(fun cache r ->
                  match digest_equal "-j2" r with
                  | Some m -> Some m
@@ -339,39 +328,20 @@ let run ?(depth = 6) ?(episodes = 3) ?workdir cfg =
              else if hits = 0 then Some "warm run served no cache hits"
              else None)
   in
+  (* Every static pre-decider audited: each dead cover is re-dispatched in
+     the trailing batch, and a reachable one raises Failure into this step
+     naming the analysis that proved it dead. *)
   let continue =
     continue
-    && step O_prune_modes
-         (check_engine ~jobs:1 ~portfolio:1 ~static_prune:false
-            ~static_flow_prune:Synthlc.Types.Prune_audit
-            ~judge:(fun _cache r -> digest_equal "audit (prunes off)" r))
+    && step O_prune
+         (check_engine ~prune:Mc.Prune.Audit ~jobs:1 ~portfolio:1
+            ~judge:(fun _cache r -> digest_equal "--prune audit" r))
   in
   let continue =
     continue
     && step O_portfolio
-         (check_engine ~jobs:1 ~portfolio:2 ~static_prune:true
-            ~static_flow_prune:Synthlc.Types.Prune_on
+         (check_engine ~jobs:1 ~portfolio:2
             ~judge:(fun _cache r -> digest_equal "--portfolio 2" r))
-  in
-  (* Sweep tri-mode identity: the equivalence-swept engines (and the
-     audit's swept-vs-unswept cross-check, whose divergence tripwire
-     raises Failure into this step) must reproduce the unswept baseline
-     digest bit-for-bit. *)
-  let continue =
-    continue
-    && step O_sweep (fun () ->
-           match
-             check_engine ~sweep:Mc.Checker.Sweep_on ~jobs:1 ~portfolio:1
-               ~static_prune:true ~static_flow_prune:Synthlc.Types.Prune_on
-               ~judge:(fun _cache r -> digest_equal "--sweep on" r)
-               ()
-           with
-           | Some m -> Some m
-           | None ->
-             check_engine ~sweep:Mc.Checker.Sweep_audit ~jobs:1 ~portfolio:1
-               ~static_prune:true ~static_flow_prune:Synthlc.Types.Prune_on
-               ~judge:(fun _cache r -> digest_equal "--sweep audit" r)
-               ())
   in
   let _ =
     continue

@@ -19,13 +19,11 @@
     - [O_jobs]: [-j 2] reproduces the [-j 1] report digest bit-for-bit;
     - [O_cache_warm]: a warm verdict-cache run is all-hits/no-misses and
       digests identically to the cold run that filled the store;
-    - [O_prune_modes]: static FSM-reachability prune off (audit batch,
-      tripwires armed) + static taint-flow prune in audit mode reproduce
-      the pruned run's digest;
+    - [O_prune]: [--prune audit] — every static pre-decider (FSM
+      abstraction, taint cone and both known-bits refinements) re-checked
+      in the trailing batch, tripwires armed — reproduces the pruned run's
+      digest;
     - [O_portfolio]: [--portfolio 2] reproduces the sequential digest;
-    - [O_sweep]: equivalence-swept runs ([config.sweep] on, then audit —
-      the audit re-running every SAT-resolved cover unswept with its
-      divergence tripwire armed) reproduce the unswept digest;
     - [O_grid]: every dynamically tagged decision destination lies inside
       the static leakage grid of its operand (taint-grid vs dynamic IFT
       containment).
@@ -43,9 +41,8 @@ type oracle =
   | O_roundtrip
   | O_jobs
   | O_cache_warm
-  | O_prune_modes
+  | O_prune
   | O_portfolio
-  | O_sweep
   | O_grid
 
 type verdict = Pass | Fail of string | Skipped

@@ -5,24 +5,21 @@
    (with a witness trace), [Unreachable] (with a proof kind), and
    [Undetermined] (budget exhausted).
 
-   Engine pipeline, cheapest first:
+   Engine pipeline, in the order [compute_cover] tries them:
    1. constrained-random simulation — a simulated hit proves reachability;
-   2. incremental BMC over a shared unrolling — SAT proves reachability;
-   3. k-induction with simple-path constraints — UNSAT step proves genuine
-      unreachability;
-   4. otherwise, exhausting the BMC depth without solver budget overruns
-      yields a bounded unreachability verdict ([Bounded]), the analogue of
-      the paper's undetermined-as-unreachable configuration (SS VII-B4).
+   2. k-induction with simple-path constraints — an UNSAT step, confirmed
+      by a BMC base case, proves genuine unreachability;
+   3. single-shot BMC over a shared incremental unrolling — SAT proves
+      reachability; UNSAT without solver budget overruns yields a bounded
+      unreachability verdict ([Bounded]), the analogue of the paper's
+      undetermined-as-unreachable configuration (SS VII-B4).
 
-   The SAT engines may run on an equivalence-swept copy of the netlist
-   ([config.sweep]): [Hdl.Equiv.reduce] merges proven-equivalent
-   combinational nodes and every engine query is translated through the
-   total old->new signal mapping.  BMC witnesses are canonicalized
-   (minimal hit time, then lexicographically-minimal free variables) so
-   the reported witness depends only on the design's semantics, never on
-   which encoding the solver happened to search — the mechanism that
-   keeps report digests bit-identical across sweep modes, cache warmth,
-   and gate-level vs word-level variants of one design. *)
+   BMC witnesses are canonicalized (minimal hit time, then
+   lexicographically-minimal free variables) so the reported witness
+   depends only on the design's semantics, never on which encoding the
+   solver happened to search — the mechanism that keeps report digests
+   bit-identical across cache warmth and gate-level vs word-level variants
+   of one design. *)
 
 module Netlist = Hdl.Netlist
 module Solver = Sat.Solver
@@ -42,16 +39,6 @@ module Cex = struct
     match value t name ~cycle with
     | Some v -> v
     | None -> failwith (Printf.sprintf "Cex.value_exn: %s@%d" name cycle)
-
-  let equal a b =
-    a.length = b.length
-    && List.length a.values = List.length b.values
-    && List.for_all2
-         (fun (na, va) (nb, vb) ->
-           String.equal na nb
-           && Array.length va = Array.length vb
-           && Array.for_all2 Bitvec.equal va vb)
-         a.values b.values
 
   let pp fmt t =
     Format.fprintf fmt "@[<v>";
@@ -137,13 +124,6 @@ module Stats = struct
       (mean_time t)
 end
 
-type sweep_mode = Sweep_off | Sweep_on | Sweep_audit
-
-let sweep_mode_tag = function
-  | Sweep_off -> "off"
-  | Sweep_on -> "on"
-  | Sweep_audit -> "audit"
-
 type config = {
   bmc_depth : int;  (* maximum unrolling depth *)
   bmc_conflicts : int;  (* SAT conflict budget per BMC solve *)
@@ -156,7 +136,6 @@ type config = {
   known_bits : bool;  (* known-bits substitution: BMC + induction strengthening *)
   reduce_db : bool;  (* periodic learnt-clause DB reduction *)
   portfolio_domains : int;  (* <= 1 disables portfolio racing *)
-  sweep : sweep_mode;  (* SAT-sweep the netlist the engines encode *)
 }
 
 let default_config =
@@ -172,16 +151,15 @@ let default_config =
     known_bits = true;
     reduce_db = true;
     portfolio_domains = 1;
-    sweep = Sweep_off;
   }
 
-(* One SAT engine stack: the netlist it encodes (original, or the swept
-   reduction), the total original->encoded signal map, and the shared BMC
-   unrolling.  Audit mode instantiates two. *)
-type engine = {
-  enc_nl : Netlist.t;
-  map : Netlist.signal array;
-  bmc : Blast.t;
+type t = {
+  nl : Netlist.t;
+  config : config;
+  assumes : Netlist.signal list;
+  assume_initial : Netlist.signal list;
+  stimulus : (Sim.t -> int -> unit) option;
+  bmc : Blast.t;  (* the shared BMC unrolling *)
   known : (Bitvec.t * Bitvec.t) array option;
       (* Known-bits invariants shared by the BMC unrolling and every
          induction side solver (strengthening); None when the config
@@ -190,17 +168,6 @@ type engine = {
       (* Variables allocated across the short-lived induction solvers,
          cumulative — the encoder-size counter the BMC-side
          [Solver.nvars] cannot see. *)
-}
-
-type t = {
-  nl : Netlist.t;
-  config : config;
-  assumes : Netlist.signal list;
-  assume_initial : Netlist.signal list;
-  stimulus : (Sim.t -> int -> unit) option;
-  eng : engine;  (* swept when config.sweep is on/audit *)
-  shadow : engine option;  (* unswept cross-check engine (audit mode) *)
-  sweep_stats : Hdl.Equiv.stats option;
   stats : Stats.t;
   named : (string * Netlist.signal) list;
   rng : Random.State.t;
@@ -223,16 +190,14 @@ type t = {
    the cover literals — see [cover_key]. *)
 (* [encode_cse], [known_bits] and [reduce_db] are part of the key: they
    change the solver trajectory and hence which engine decides a verdict.
-   [sweep] participates as its effective boolean — audit mode computes
-   bit-identically to on (the unswept shadow run is a tripwire, not an
-   input).  [portfolio_domains] deliberately is not — the canonical
-   solver's verdict and model are bit-identical whatever the domain count
-   (see Solver.solve_portfolio). *)
+   [portfolio_domains] deliberately is not — the canonical solver's verdict
+   and model are bit-identical whatever the domain count (see
+   Solver.solve_portfolio). *)
 let config_key (config : config) =
-  Printf.sprintf "c:%d.%d.%d.%d.%d.%d.%d|e:%b.%b.%b|w:%b" config.bmc_depth
+  Printf.sprintf "c:%d.%d.%d.%d.%d.%d.%d|e:%b.%b.%b" config.bmc_depth
     config.bmc_conflicts config.induction_max_k config.induction_conflicts
     config.sim_episodes config.sim_cycles config.seed config.encode_cse
-    config.known_bits config.reduce_db (config.sweep <> Sweep_off)
+    config.known_bits config.reduce_db
 
 let make_key_prefix ~salt ~assumes ~assume_initial ~(config : config) nl =
   Printf.sprintf "%s|a:%s|i:%s|%s|s:%s" (Netlist.digest nl)
@@ -255,38 +220,8 @@ let make_semantic_key_prefix ~salt ~assumes ~assume_initial ~(config : config)
     (Hdl.Equiv.semantic_digest nl)
     (sig_list assumes) (sig_list assume_initial) (config_key config) salt
 
-let identity_map nl = Array.init (Netlist.num_nodes nl) Fun.id
-
-let make_engine ~(config : config) ~assumes ~assume_initial ~sweep_barriers
-    ~swept nl =
-  let enc_nl, map, sweep_stats =
-    if swept then begin
-      let red, image, st = Hdl.Equiv.reduce ~barriers:sweep_barriers nl in
-      if Obs.enabled () then begin
-        Obs.Metrics.incr "equiv.merged" ~by:st.Hdl.Equiv.merged;
-        Obs.Metrics.incr "equiv.comb_nodes" ~by:st.Hdl.Equiv.comb_nodes;
-        Obs.Metrics.incr "equiv.classes" ~by:st.Hdl.Equiv.classes;
-        Obs.Metrics.incr "equiv.vetoed" ~by:st.Hdl.Equiv.vetoed;
-        Obs.Metrics.incr "equiv.sat_queries" ~by:st.Hdl.Equiv.sat_queries;
-        Obs.Metrics.incr "equiv.patterns" ~by:st.Hdl.Equiv.patterns
-      end;
-      (red, image, Some st)
-    end
-    else (nl, identity_map nl, None)
-  in
-  let tr l = List.map (fun s -> map.(s)) l in
-  let known =
-    if config.known_bits then Some (Hdl.Absint.known_bits enc_nl) else None
-  in
-  let bmc =
-    Blast.create ~assume_initial:(tr assume_initial) ?known
-      ~cse:config.encode_cse ~initial:`Reset ~assumes:(tr assumes) enc_nl
-  in
-  Solver.set_reduce_db (Blast.solver bmc) config.reduce_db;
-  ({ enc_nl; map; bmc; known; ind_vars = 0 }, sweep_stats)
-
 let create ?cache ?(cache_salt = "") ?stimulus ?(config = default_config)
-    ?(assume_initial = []) ?(sweep_barriers = []) ?(semantic_cache = false)
+    ?(assume_initial = []) ?(semantic_cache = false)
     ~assumes nl =
   Netlist.validate nl;
   let named =
@@ -296,18 +231,14 @@ let create ?cache ?(cache_salt = "") ?stimulus ?(config = default_config)
         | None -> acc)
     |> List.rev
   in
-  let swept = config.sweep <> Sweep_off in
-  let eng, sweep_stats =
-    make_engine ~config ~assumes ~assume_initial ~sweep_barriers ~swept nl
+  let known =
+    if config.known_bits then Some (Hdl.Absint.known_bits nl) else None
   in
-  let shadow =
-    if config.sweep = Sweep_audit then
-      Some
-        (fst
-           (make_engine ~config ~assumes ~assume_initial ~sweep_barriers
-              ~swept:false nl))
-    else None
+  let bmc =
+    Blast.create ~assume_initial ?known ~cse:config.encode_cse ~initial:`Reset
+      ~assumes nl
   in
+  Solver.set_reduce_db (Blast.solver bmc) config.reduce_db;
   let sigs =
     if semantic_cache && cache <> None then Some (Hdl.Equiv.describe_all nl)
     else None
@@ -318,9 +249,9 @@ let create ?cache ?(cache_salt = "") ?stimulus ?(config = default_config)
     assumes;
     assume_initial;
     stimulus;
-    eng;
-    shadow;
-    sweep_stats;
+    bmc;
+    known;
+    ind_vars = 0;
     stats = Stats.create ();
     named;
     rng = Random.State.make [| config.seed |];
@@ -338,15 +269,14 @@ let create ?cache ?(cache_salt = "") ?stimulus ?(config = default_config)
 
 let stats t = t.stats
 let netlist t = t.nl
-let sweep_stats t = t.sweep_stats
 
-let cex_of_model t eng ~upto =
+let cex_of_model t ~upto =
   let values =
     List.map
       (fun (name, s) ->
         ( name,
           Array.init (upto + 1) (fun time ->
-              Blast.model_value eng.bmc eng.map.(s) ~time) ))
+              Blast.model_value t.bmc s ~time) ))
       t.named
   in
   { Cex.length = upto + 1; values }
@@ -362,8 +292,7 @@ let cover_holds sim cover =
 (* Drive one random episode, recording named signals as it goes; return the
    recorded witness if the cover fired.  Aborts as soon as an assumption is
    violated, which keeps the pre-pass sound: only assumption-respecting
-   traces can witness.  Always runs on the original netlist — the pre-pass
-   is identical whatever the sweep mode. *)
+   traces can witness. *)
 let sim_episode t cover seed =
   let sim = Sim.create ~seed t.nl in
   let rows = ref [] in
@@ -417,21 +346,20 @@ let try_simulation t cover =
 (* Prove [cover] unreachable by k-induction with simple-path constraints.
    The induction solver starts from a free state; hypothesis units not-bad@i
    and pairwise state-distinctness accumulate as k grows. *)
-let try_induction t eng cover =
+let try_induction t cover =
   if t.config.induction_max_k = 0 then None
   else begin
     (* Hypothesis units are specific to one cover, so each attempt gets a
        fresh unrolling. *)
     let ind =
-      Blast.create ?known:eng.known ~cse:t.config.encode_cse ~initial:`Free
-        ~assumes:(List.map (fun s -> eng.map.(s)) t.assumes)
-        eng.enc_nl
+      Blast.create ?known:t.known ~cse:t.config.encode_cse ~initial:`Free
+        ~assumes:t.assumes t.nl
     in
     Solver.set_reduce_db (Blast.solver ind) t.config.reduce_db;
     let lits_at time =
       List.map
         (fun (s, pol) ->
-          let l = Blast.lit1 ind eng.map.(s) ~time in
+          let l = Blast.lit1 ind s ~time in
           if pol then l else Solver.negate l)
         cover
     in
@@ -460,7 +388,7 @@ let try_induction t eng cover =
     in
     let r = go 0 in
     let nv = Solver.nvars (Blast.solver ind) in
-    eng.ind_vars <- eng.ind_vars + nv;
+    t.ind_vars <- t.ind_vars + nv;
     if Obs.enabled () then Obs.Metrics.incr "sat.ind_vars" ~by:nv;
     r
   end
@@ -468,9 +396,10 @@ let try_induction t eng cover =
 (* --- canonical witnesses -------------------------------------------------- *)
 
 (* After a Sat BMC query, the raw model is an artifact of the encoding and
-   the solver's trajectory: the swept and unswept CNFs are equisatisfiable
-   over the design's free variables but return different models.  The
-   reported witness is therefore canonicalized:
+   the solver's trajectory: a word-level design and its gate-level
+   re-synthesis, or a cold solver and one warmed by earlier covers, are
+   equisatisfiable over the design's free variables but return different
+   models.  The reported witness is therefore canonicalized:
 
    1. minimal hit time — the earliest per-time gate that is satisfiable;
    2. lexicographically minimal free variables (symbolic-init register
@@ -481,12 +410,12 @@ let try_induction t eng cover =
    3. one final solve under the full assumption list, whose model is read.
 
    The result depends only on the design's semantics (and the budgets),
-   so report digests agree across sweep modes, cache warmth and
-   equivalent netlist variants.  A budget overrun mid-minimization
-   degrades to best-effort (the bit keeps its current model value); the
-   audit tripwire is the backstop. *)
-let canonical_witness t eng ~gates ~default_upto =
-  let s = Blast.solver eng.bmc in
+   so report digests agree across cache warmth and equivalent netlist
+   variants (the semantic cache namespace relies on this).  A budget
+   overrun mid-minimization degrades to best-effort: the bit keeps its
+   current model value, which is still a witness. *)
+let canonical_witness t ~gates ~default_upto =
+  let s = Blast.solver t.bmc in
   let budget = t.config.bmc_conflicts in
   let model_upto =
     match List.find_opt (fun (_, g) -> Solver.lit_value s g) gates with
@@ -521,14 +450,14 @@ let canonical_witness t eng ~gates ~default_upto =
     in
     let reg_bits =
       List.concat_map
-        (fun r -> Array.to_list (Blast.lits eng.bmc eng.map.(r) ~time:0))
+        (fun r -> Array.to_list (Blast.lits t.bmc r ~time:0))
         sym_regs
     in
     let input_bits =
       List.concat_map
         (fun time ->
           List.concat_map
-            (fun i -> Array.to_list (Blast.lits eng.bmc eng.map.(i) ~time))
+            (fun i -> Array.to_list (Blast.lits t.bmc i ~time))
             (Netlist.inputs t.nl))
         (List.init (upto + 1) Fun.id)
     in
@@ -600,9 +529,9 @@ let cover_key t cover =
 let debug =
   match Sys.getenv_opt "CHECKER_DEBUG" with Some ("1" | "true") -> true | _ -> false
 
-(* SAT phases (induction, then single-shot BMC) on one engine.  The sim
-   pre-pass has already run (shared across engines). *)
-let compute_sat t eng cover =
+(* SAT phases: induction, then single-shot BMC.  The sim pre-pass has
+   already run. *)
+let compute_sat t cover =
   (* k-induction: a genuine unreachability proof, attempted first
      because it is far cheaper than a deep UNSAT BMC sweep.  The step
      proof alone is unsound without its base case (the cover could hold
@@ -612,15 +541,15 @@ let compute_sat t eng cover =
     (* no cover at times 0..k-1 from the reset state *)
     k = 0
     ||
-    (Blast.ensure_depth eng.bmc (k - 1);
-     let s = Blast.solver eng.bmc in
+    (Blast.ensure_depth t.bmc (k - 1);
+     let s = Blast.solver t.bmc in
      let act = Solver.pos (Solver.new_var s) in
      let gates =
        List.init k (fun time ->
            let g = Solver.pos (Solver.new_var s) in
            List.iter
              (fun (sig_, pol) ->
-               let l = Blast.lit1 eng.bmc eng.map.(sig_) ~time in
+               let l = Blast.lit1 t.bmc sig_ ~time in
                let l = if pol then l else Solver.negate l in
                Solver.add_clause s [ Solver.negate g; l ])
              cover;
@@ -631,20 +560,20 @@ let compute_sat t eng cover =
      Solver.add_clause s [ Solver.negate act ];
      r = Solver.Unsat)
   in
-  match try_induction t eng cover with
+  match try_induction t cover with
   | Some k when base_holds k -> Unreachable (Inductive k)
   | _ -> (
     (* Single-shot BMC over all depths: one activation-gated
        disjunction OR_t cover@t; SAT yields a witness, UNSAT proves
        bounded unreachability in one solve. *)
-    Blast.ensure_depth eng.bmc t.config.bmc_depth;
-    let s = Blast.solver eng.bmc in
+    Blast.ensure_depth t.bmc t.config.bmc_depth;
+    let s = Blast.solver t.bmc in
     let gates =
       List.init (t.config.bmc_depth + 1) (fun time ->
           let g = Solver.pos (Solver.new_var s) in
           List.iter
             (fun (sig_, pol) ->
-              let l = Blast.lit1 eng.bmc eng.map.(sig_) ~time in
+              let l = Blast.lit1 t.bmc sig_ ~time in
               let l = if pol then l else Solver.negate l in
               Solver.add_clause s [ Solver.negate g; l ])
             cover;
@@ -677,19 +606,15 @@ let compute_sat t eng cover =
     match result with
     | Solver.Sat ->
       let upto =
-        canonical_witness t eng ~gates ~default_upto:t.config.bmc_depth
+        canonical_witness t ~gates ~default_upto:t.config.bmc_depth
       in
-      Reachable (cex_of_model t eng ~upto)
+      Reachable (cex_of_model t ~upto)
     | Solver.Unsat -> Unreachable (Bounded t.config.bmc_depth)
     | Solver.Unknown -> Undetermined)
 
 (* The engine pipeline proper: returns (outcome, discharged-by-sim, RNG
-   draws consumed by the sim pre-pass).  In audit mode the SAT phases run
-   twice — swept and unswept — and any verdict or witness divergence is a
-   soundness bug in the sweep, so it trips a hard failure. *)
+   draws consumed by the sim pre-pass). *)
 let compute_cover t cover =
-  (* 1. simulation pre-pass (shared by both engines: it runs on the
-     original netlist and consumes the RNG stream exactly once). *)
   let sim_result =
     if Obs.enabled () then
       Obs.with_span "checker.sim_prepass" (fun () -> try_simulation t cover)
@@ -697,42 +622,18 @@ let compute_cover t cover =
   in
   match sim_result with
   | Some cex, draws -> (Reachable cex, true, draws)
-  | None, draws ->
-    let outcome = compute_sat t t.eng cover in
-    (match t.shadow with
-    | None -> ()
-    | Some shadow ->
-      let unswept = compute_sat t shadow cover in
-      let divergence =
-        match (outcome, unswept) with
-        | Reachable a, Reachable b ->
-          if Cex.equal a b then None else Some "witness mismatch"
-        | Unreachable _, Unreachable _ | Undetermined, Undetermined -> None
-        | a, b ->
-          Some
-            (Printf.sprintf "verdict mismatch: swept=%s unswept=%s"
-               (outcome_tag a) (outcome_tag b))
-      in
-      (match divergence with
-      | Some what ->
-        failwith
-          (Printf.sprintf
-             "Checker sweep audit: %s on %s — the equivalence sweep changed \
-              an outcome"
-             what (Netlist.name t.nl))
-      | None -> ()));
-    (outcome, false, draws)
+  | None, draws -> (compute_sat t cover, false, draws)
 
 let check_cover ?name t cover =
   let t0 = Unix.gettimeofday () in
   (* Snapshots for the per-property sat.* metrics; deltas are taken over the
      shared BMC solver (the induction pass uses short-lived solvers whose
      work is not attributed here). *)
-  let bmc_s = Blast.solver t.eng.bmc in
+  let bmc_s = Blast.solver t.bmc in
   let c0 = Solver.num_conflicts bmc_s in
   let p0 = Solver.num_propagations bmc_s in
   let r0 = Solver.num_reduces bmc_s in
-  let h0, l0 = Blast.cse_stats t.eng.bmc in
+  let h0, l0 = Blast.cse_stats t.bmc in
   let finish ~hit ~sim_discharged outcome =
     t.stats.Stats.n_props <- t.stats.Stats.n_props + 1;
     t.stats.Stats.total_time <- t.stats.Stats.total_time +. Unix.gettimeofday () -. t0;
@@ -768,7 +669,7 @@ let check_cover ?name t cover =
         (float_of_int (Solver.learnt_peak bmc_s));
       Obs.Metrics.gauge "sat.vars" (float_of_int (Solver.nvars bmc_s));
       Obs.Metrics.incr "sat.reduce_events" ~by:(Solver.num_reduces bmc_s - r0);
-      let hits, lookups = Blast.cse_stats t.eng.bmc in
+      let hits, lookups = Blast.cse_stats t.bmc in
       Obs.Metrics.incr "sat.cse_hits" ~by:(hits - h0);
       Obs.Metrics.incr "sat.cse_lookups" ~by:(lookups - l0)
     end;
@@ -791,14 +692,7 @@ let check_cover ?name t cover =
       finish ~hit:None ~sim_discharged outcome
     | Some cache -> (
       let key = cover_key t cover in
-      (* Audit mode never *serves* from the cache — the point is to run
-         both engines and compare — but it still stores, so an audited
-         cold run warms the cache for subsequent on-mode runs. *)
-      let cached =
-        if t.config.sweep = Sweep_audit then None
-        else Option.bind (Vcache.find cache key) decode_entry
-      in
-      match cached with
+      match Option.bind (Vcache.find cache key) decode_entry with
       | Some e ->
         (* Replay the RNG draws the cold run's sim pre-pass consumed, so the
            stream later properties see is the same whether or not this
@@ -822,7 +716,7 @@ let check_cover ?name t cover =
 
 (* --- solver introspection ------------------------------------------------ *)
 
-let dump_cnf t = Sat.Dimacs.of_solver (Blast.solver t.eng.bmc)
+let dump_cnf t = Sat.Dimacs.of_solver (Blast.solver t.bmc)
 
 type sat_stats = {
   ss_conflicts : int;
@@ -837,8 +731,8 @@ type sat_stats = {
 }
 
 let sat_stats t =
-  let s = Blast.solver t.eng.bmc in
-  let hits, lookups = Blast.cse_stats t.eng.bmc in
+  let s = Blast.solver t.bmc in
+  let hits, lookups = Blast.cse_stats t.bmc in
   {
     ss_conflicts = Solver.num_conflicts s;
     ss_propagations = Solver.num_propagations s;
@@ -848,7 +742,5 @@ let sat_stats t =
     ss_cse_hits = hits;
     ss_cse_lookups = lookups;
     ss_vars = Solver.nvars s;
-    ss_ind_vars =
-      (t.eng.ind_vars
-      + match t.shadow with None -> 0 | Some e -> e.ind_vars);
+    ss_ind_vars = t.ind_vars;
   }

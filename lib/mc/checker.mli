@@ -7,22 +7,21 @@
     paper's: [Reachable] (with a witness), [Unreachable] (with a proof
     kind), [Undetermined] (budgets exhausted — §VII-B3).
 
-    Engines, cheapest first: constrained-random simulation (a hit proves
-    reachability), incremental BMC over a shared unrolling (thousands of
+    Engines, in the order they are tried: constrained-random simulation (a
+    hit proves reachability), k-induction with simple-path constraints (a
+    genuine unreachability proof, confirmed by a BMC base case), then
+    single-shot BMC over a shared incremental unrolling (thousands of
     properties on the same design share one solver and its learned
-    clauses), k-induction with simple-path constraints (a genuine
-    unreachability proof), and finally a bounded-unreachable verdict when
-    the BMC depth is exhausted cleanly — the analogue of the paper's
-    undetermined-as-unreachable configuration (§VII-B4).
+    clauses).  BMC either finds a witness or, when the depth is exhausted
+    cleanly, yields a bounded-unreachable verdict — the analogue of the
+    paper's undetermined-as-unreachable configuration (§VII-B4).
 
-    The SAT engines can run on an equivalence-swept copy of the netlist
-    ({!config.sweep}): {!Hdl.Equiv.reduce} merges proven-equivalent
-    combinational nodes before encoding, and every query crosses the
-    total old→new signal map at the boundary.  BMC witnesses are
-    {e canonical} — minimal hit time, then lexicographically-minimal free
-    variables — so the reported trace depends only on the design's
-    semantics, never on the encoding the solver searched; that is what
-    keeps report digests bit-identical across sweep modes. *)
+    BMC witnesses are {e canonical} — minimal hit time, then
+    lexicographically-minimal free variables — so the reported trace
+    depends only on the design's semantics, never on the encoding the
+    solver searched; that is what keeps report digests bit-identical
+    across cache warmth and across word-level/gate-level variants of one
+    design. *)
 
 module Cex : sig
   type t
@@ -31,10 +30,6 @@ module Cex : sig
   val length : t -> int
   val value : t -> string -> cycle:int -> Bitvec.t option
   val value_exn : t -> string -> cycle:int -> Bitvec.t
-
-  val equal : t -> t -> bool
-  (** Structural equality: same length, same signals in the same order,
-      bit-identical values — the comparison the sweep audit applies. *)
 
   val pp : Format.formatter -> t -> unit
 end
@@ -87,27 +82,6 @@ module Stats : sig
   val pp : Format.formatter -> t -> unit
 end
 
-type sweep_mode =
-  | Sweep_off  (** Encode the netlist as given. *)
-  | Sweep_on
-      (** SAT-sweep the netlist ({!Hdl.Equiv.reduce}) before encoding;
-          both the BMC unrolling and every induction solver run on the
-          reduction, with queries translated through the signal map. *)
-  | Sweep_audit
-      (** Compute with the swept engine {e and} re-run every
-          SAT-resolved query on an unswept shadow engine.  Any verdict
-          divergence — or, for reachable covers, any difference between
-          the two canonical witnesses — raises [Failure]: the sweep
-          changed an outcome, which is a soundness bug.  Audit never
-          serves verdicts from the cache (it must run both engines) but
-          still stores what it computes.  Proof kinds are not compared:
-          known-bits strength can legitimately differ between the two
-          encodings, turning an inductive proof into a bounded one, and
-          proof kinds are not part of any report digest. *)
-
-val sweep_mode_tag : sweep_mode -> string
-(** ["off"] / ["on"] / ["audit"]. *)
-
 type config = {
   bmc_depth : int;
   bmc_conflicts : int;
@@ -131,9 +105,7 @@ type config = {
           variables and clauses (see [ss_ind_vars]) and letting induction
           discharge covers plain induction cannot.  Part of the cache
           key: the strengthening can change verdicts (Undetermined
-          becoming Unreachable) and solver trajectories.  When sweeping,
-          known bits are computed on the netlist each engine actually
-          encodes. *)
+          becoming Unreachable) and solver trajectories. *)
   reduce_db : bool;
       (** Periodic learnt-clause DB reduction (default [true]).  Also part
           of the cache key, for the same reason. *)
@@ -142,14 +114,6 @@ type config = {
           query (default 1 = off).  Deliberately {e not} part of the cache
           key: the canonical solver's verdict and model are bit-identical
           whatever the domain count — see {!Sat.Solver.solve_portfolio}. *)
-  sweep : sweep_mode;
-      (** Equivalence-sweep the netlist the SAT engines encode (default
-          {!Sweep_off}).  Verdicts, witnesses and hence report digests
-          are bit-identical across all three modes — witnesses are
-          canonical, the sim pre-pass always runs on the original
-          netlist, and audit is on-plus-tripwire.  The cache key
-          therefore carries only the effective boolean (audit keys as
-          on). *)
 }
 
 val default_config : config
@@ -162,7 +126,6 @@ val create :
   ?stimulus:(Sim.t -> int -> unit) ->
   ?config:config ->
   ?assume_initial:Hdl.Netlist.signal list ->
-  ?sweep_barriers:Hdl.Netlist.signal list ->
   ?semantic_cache:bool ->
   assumes:Hdl.Netlist.signal list ->
   Hdl.Netlist.t ->
@@ -182,36 +145,25 @@ val create :
     store.  [cache_salt] must identify any verdict-relevant input the
     checker cannot see, in practice the [stimulus] closure's identity.
 
-    [sweep_barriers] are extra signals the equivalence sweep must never
-    merge away (named signals, registers and inputs are always barriers);
-    callers pass every metadata-referenced signal, belt and braces on top
-    of those signals being named.  Ignored when [config.sweep] is
-    {!Sweep_off}.
-
     [semantic_cache] (default [false], meaningful only with [cache])
     switches the cache keys to the behavioral namespace: the netlist
     contributes {!Hdl.Equiv.semantic_digest} instead of its structural
-    digest, and assume/cover signals contribute their
-    {!Hdl.Equiv.signatures} instead of node ids.  Semantically equivalent
-    netlist variants — a word-level design and its gate-level
-    re-synthesis, say — then share verdicts.  Sound for the same reason
-    digests agree across sweep modes (canonical witnesses), with one
-    caveat: a budget-limited [Undetermined] could in principle resolve
+    digest, and assume/cover signals contribute their name-structural
+    descriptors ({!Hdl.Equiv.describe_all}) instead of node ids —
+    behavioral {!Hdl.Equiv.signatures} were rejected for keys because
+    covers the canonical stimulus never activates would collide.
+    Semantically equivalent netlist variants — a word-level design and its
+    gate-level re-synthesis, say — then share verdicts.  Sound because
+    witnesses are canonical, with one caveat: a budget-limited [Undetermined] could in principle resolve
     differently on another variant, so pair this with budgets generous
     enough that shared queries terminate. *)
 
 val check_cover : ?name:string -> t -> (Hdl.Netlist.signal * bool) list -> outcome
 (** [check_cover t lits] searches for a cycle where every [(signal,
-    polarity)] literal holds simultaneously.  Signals are those of the
-    {e original} netlist whatever the sweep mode.  In audit mode, raises
-    [Failure] if the swept and unswept engines ever disagree. *)
+    polarity)] literal holds simultaneously. *)
 
 val stats : t -> Stats.t
 val netlist : t -> Hdl.Netlist.t
-
-val sweep_stats : t -> Hdl.Equiv.stats option
-(** Reduction statistics of the equivalence sweep the engines run on;
-    [None] when [config.sweep] is {!Sweep_off}. *)
 
 val dump_cnf : t -> string
 (** The shared BMC unrolling's current clause set as DIMACS CNF text
@@ -229,8 +181,7 @@ type sat_stats = {
   ss_vars : int;  (** Variables allocated in the BMC engine's solver. *)
   ss_ind_vars : int;
       (** Variables allocated across the short-lived k-induction side
-          solvers, cumulative over every induction attempt (both engines
-          in audit mode).  This is the counter the known-bits
+          solvers, cumulative over every induction attempt.  This is the counter the known-bits
           substitution ([config.known_bits]) shrinks: the [`Free]-initial
           unrolling stops allocating variables for proven register bits.
           (On the [`Reset]-initial BMC side the substitution is subsumed

@@ -274,8 +274,8 @@ let create ?cache ?cache_salt ?config ?stimulus ?(semantic_cache = false)
   in
   let assumes = iuv_assumes @ no_refetch @ meta.Meta.extra_assumes in
   let checker =
-    Mc.Checker.create ?cache ?cache_salt ?stimulus ?config
-      ~sweep_barriers:(Meta.signals meta) ~semantic_cache ~assumes nl
+    Mc.Checker.create ?cache ?cache_salt ?stimulus ?config ~semantic_cache
+      ~assumes nl
   in
   {
     meta;

@@ -43,9 +43,7 @@ val create :
 (** [cache]/[cache_salt]/[semantic_cache] are forwarded to
     {!Mc.Checker.create}: the monitored netlist's digest (which covers the
     IUV pin, the PL monitors, and the revisit counters) keys the verdict
-    store.  {!Designs.Meta.signals} is passed as the checker's sweep
-    barriers, so an equivalence sweep ([config.sweep]) can never merge
-    away an annotated signal. *)
+    store. *)
 
 val checker : t -> Mc.Checker.t
 val meta : t -> Designs.Meta.t

@@ -46,7 +46,7 @@ type episode = {
 let run_inner ?cache ?cache_salt ?config ?stimulus ?(semantic_cache = false)
     ?(revisit_count_labels = [])
     ?(max_candidate_sets = 4096) ?(max_revisit_count = 12) ?(presim_episodes = 64)
-    ?(presim_cycles = 48) ?(static_prune = true) ?(absint = `On) ?dump_cnf ~shards
+    ?(presim_cycles = 48) ?(prune = Mc.Prune.On) ?dump_cnf ~shards
     ~(pool : Pool.t option) ~meta ~iuv ~iuv_pc () =
   let h =
     Harness.create ?cache ?cache_salt ?config ?stimulus ~semantic_cache
@@ -55,72 +55,55 @@ let run_inner ?cache ?cache_salt ?config ?stimulus ?(semantic_cache = false)
   let nl = meta.Designs.Meta.nl in
   let chk = Harness.checker h in
   let labels = Harness.labels h in
-  (* Static FSM-abstraction reachability pre-pass: over-approximate each
-     µFSM's reachable state set; a cover over a state outside the
-     over-approximation is provably unsatisfiable, so its checker call can
-     be discharged without the solver.  With [static_prune] off, the same
-     partition is kept but the statically-decided covers are dispatched as
-     a trailing audit batch instead — both modes issue the identical checker
-     sequence for every semantically-live cover, so their reports digest
-     identically, and the audit turns any abstraction unsoundness into a
-     hard failure. *)
-  let static_reach =
-    let go () =
-      List.filter_map
-        (fun (u : Designs.Meta.ufsm) ->
-          Option.map
-            (fun set -> (u.Designs.Meta.ufsm_name, set))
-            (Hdl.Analysis.fsm_reachable nl ~vars:u.Designs.Meta.vars))
-        meta.Designs.Meta.ufsms
-    in
-    if Obs.enabled () then Obs.with_span "synth.static_reach" go else go ()
+  (* Static pre-deciders (see {!Mc.Prune}).  The FSM abstraction
+     over-approximates each µFSM's reachable state set; a cover over a
+     state outside it is provably unsatisfiable.  The known-bits refinement
+     re-runs that analysis with the {!Hdl.Absint} invariants of the
+     monitored netlist bounding what the plain value-set analysis widened
+     to Top, and also proves dead any cover whose occupancy monitor bit is
+     stuck at 0.  Both run in every [prune] mode, so the live/dead
+     partition — and with it the mid-stream checker sequence and the
+     report digest — is mode-independent. *)
+  let reach ?known () =
+    List.filter_map
+      (fun (u : Designs.Meta.ufsm) ->
+        Option.map
+          (fun set -> (u.Designs.Meta.ufsm_name, set))
+          (Hdl.Analysis.fsm_reachable ?known nl ~vars:u.Designs.Meta.vars))
+      meta.Designs.Meta.ufsms
   in
-  let member_static_dead ((u : Designs.Meta.ufsm), v) =
-    match List.assoc_opt u.Designs.Meta.ufsm_name static_reach with
-    | None -> false (* abstraction bailed: nothing is pruned for this µFSM *)
-    | Some set -> not (List.exists (Bitvec.equal v) set)
+  let span name go = if Obs.enabled () then Obs.with_span name go else go () in
+  let static_reach = span "synth.static_reach" reach in
+  let kb = span "synth.absint" (fun () -> Hdl.Absint.known_bits nl) in
+  let absint_reach = span "synth.absint_reach" (reach ~known:kb) in
+  let all_dead reach members =
+    members <> []
+    && List.for_all
+         (fun ((u : Designs.Meta.ufsm), v) ->
+           match List.assoc_opt u.Designs.Meta.ufsm_name reach with
+           | None -> false (* the abstraction bailed: nothing is pruned *)
+           | Some set -> not (List.exists (Bitvec.equal v) set))
+         members
+  in
+  let fsm_analysis = "Synth: static reachability abstraction" in
+  let kb_analysis = "Synth: known-bits abstraction" in
+  (* The analysis that proves a cover over [members] (occupancy monitor
+     [occ]) dead, if any.  The FSM abstraction is asked first, so a cover
+     counts as a known-bits prune only when the base analysis left it
+     live. *)
+  let dead_by members occ =
+    if all_dead static_reach members then Some fsm_analysis
+    else if all_dead absint_reach members || Hdl.Absint.known_zero kb occ then
+      Some kb_analysis
+    else None
   in
   let group_members = Harness.pl_groups meta in
-  let label_static_dead lbl =
-    match List.assoc_opt lbl group_members with
-    | Some members -> members <> [] && List.for_all member_static_dead members
-    | None -> false
-  in
-  (* Known-bits pre-pass, layered on the FSM abstraction: compute bit-level
-     invariants of the monitored netlist, re-run the reachability analysis
-     with the invariant envelope bounding what the plain value-set analysis
-     widened to Top, and additionally discharge any cover whose occupancy
-     monitor bit is itself proven stuck at 0.  Only covers the FSM
-     abstraction did NOT already discharge count as known-bits prunes.
-     Computed in every [absint] mode so the live/dead partition — and with
-     it the mid-stream checker sequence and the report digest — is
-     mode-independent; the mode only decides whether the extra dead covers
-     are discharged ([`On]) or re-checked in a trailing audit batch
-     ([`Off]/[`Audit], which both fail hard on a [Reachable] verdict). *)
-  let kb =
-    let go () = Hdl.Absint.known_bits nl in
-    if Obs.enabled () then Obs.with_span "synth.absint" go else go ()
-  in
-  let absint_reach =
-    let go () =
-      List.filter_map
-        (fun (u : Designs.Meta.ufsm) ->
-          Option.map
-            (fun set -> (u.Designs.Meta.ufsm_name, set))
-            (Hdl.Analysis.fsm_reachable ~known:kb nl ~vars:u.Designs.Meta.vars))
-        meta.Designs.Meta.ufsms
-    in
-    if Obs.enabled () then Obs.with_span "synth.absint_reach" go else go ()
-  in
-  let member_absint_dead ((u : Designs.Meta.ufsm), v) =
-    match List.assoc_opt u.Designs.Meta.ufsm_name absint_reach with
-    | None -> false
-    | Some set -> not (List.exists (Bitvec.equal v) set)
-  in
-  let label_absint_refined_dead lbl =
-    match List.assoc_opt lbl group_members with
-    | Some members -> members <> [] && List.for_all member_absint_dead members
-    | None -> false
+  let dead_labels =
+    List.filter_map
+      (fun lbl ->
+        let members = Option.value (List.assoc_opt lbl group_members) ~default:[] in
+        Option.map (fun a -> (lbl, a)) (dead_by members (Harness.occ_any h lbl)))
+      labels
   in
   (* Property sharding (off unless [shards > 1]): K checker instances over
      the same monitored netlist, each owning its own solver and unrolling.
@@ -151,8 +134,7 @@ let run_inner ?cache ?cache_salt ?config ?stimulus ?(semantic_cache = false)
               { base with Checker.seed = Pool.derive_seed ~base:base.Checker.seed ~index:k }
             in
             Checker.create ?cache:shard_caches.(k) ?cache_salt ?stimulus
-              ~config:cfg ~sweep_barriers:(Designs.Meta.signals meta)
-              ~semantic_cache ~assumes:(Harness.assumes h) nl)
+              ~config:cfg ~semantic_cache ~assumes:(Harness.assumes h) nl)
   in
   let stage names =
     List.map
@@ -348,54 +330,24 @@ let run_inner ?cache ?cache_salt ?config ?stimulus ?(semantic_cache = false)
   let completed_eps = List.filter (fun e -> e.completed) episodes in
 
   (* Soundness tripwire: a statically-dead PL observed occupied during
-     random simulation contradicts the over-approximation — fail loudly
-     rather than prune a live cover. *)
-  let statically_dead_labels = List.filter label_static_dead labels in
+     random simulation contradicts the analysis that proved it dead — fail
+     loudly rather than prune a live cover. *)
   List.iter
-    (fun lbl ->
+    (fun (lbl, analysis) ->
       if List.exists (fun e -> SS.mem lbl e.occ_any_seen) episodes then
         failwith
-          (Printf.sprintf
-             "Synth: static reachability abstraction unsound: PL %s observed \
-              in simulation"
-             lbl))
-    statically_dead_labels;
-
-  (* Known-bits extra dead set: dead under the refined reachability or with
-     a stuck-at-0 occupancy monitor, but NOT already discharged by the FSM
-     abstraction.  Same simulation tripwire as above. *)
-  let absint_dead_labels =
-    List.filter
-      (fun lbl ->
-        (not (List.mem lbl statically_dead_labels))
-        && (label_absint_refined_dead lbl
-           || Hdl.Absint.known_zero kb (Harness.occ_any h lbl)))
-      labels
-  in
-  List.iter
-    (fun lbl ->
-      if List.exists (fun e -> SS.mem lbl e.occ_any_seen) episodes then
-        failwith
-          (Printf.sprintf
-             "Synth: known-bits abstraction unsound: PL %s observed in \
-              simulation"
-             lbl))
-    absint_dead_labels;
+          (Printf.sprintf "%s unsound: PL %s observed in simulation" analysis lbl))
+    dead_labels;
 
   (* ------------------------------------------------------------------ *)
   (* Stage A: PL reachability for the DUV (§V-B1).                        *)
   (* ------------------------------------------------------------------ *)
-  (* Statically-dead covers never reach the checkers here, in either mode:
-     removing them mid-stream only in prune mode would shift the shared
+  (* Statically-dead covers never reach the checkers here, in any mode:
+     removing them mid-stream only when pruning would shift the shared
      RNG/solver state of everything after them and change witnesses.  They
-     are either discharged by the abstraction (prune mode) or deferred to
-     the trailing audit batch (audit mode). *)
+     are either discharged ([On]) or deferred to the trailing batch. *)
   let live_labels =
-    List.filter
-      (fun lbl ->
-        (not (List.mem lbl statically_dead_labels))
-        && not (List.mem lbl absint_dead_labels))
-      labels
+    List.filter (fun lbl -> not (List.mem_assoc lbl dead_labels)) labels
   in
   let duv_pls =
     let keeps =
@@ -415,15 +367,9 @@ let run_inner ?cache ?cache_salt ?config ?stimulus ?(semantic_cache = false)
       labels
   in
   let unlabeled_info = Harness.unlabeled_state_info h in
-  let unlabeled_absint_dead (_, occ, m) =
-    (not (member_static_dead m))
-    && (member_absint_dead m || Hdl.Absint.known_zero kb occ)
-  in
+  let unlabeled_dead (_, occ, m) = dead_by [ m ] occ in
   let undecided_unlabeled =
-    List.filter
-      (fun ((_, _, m) as info) ->
-        (not (member_static_dead m)) && not (unlabeled_absint_dead info))
-      unlabeled_info
+    List.filter (fun info -> unlabeled_dead info = None) unlabeled_info
   in
   let undecided_pruned =
     sharded "duv_pl" undecided_unlabeled ~f:(fun ~check ~hit:_ (name, occ, _) ->
@@ -433,32 +379,42 @@ let run_inner ?cache ?cache_salt ?config ?stimulus ?(semantic_cache = false)
   in
   let pruned_duv_states =
     List.filter_map
-      (fun ((name, _, m) as info) ->
-        if member_static_dead m then Some name
-        else if unlabeled_absint_dead info then Some name
-        else if List.assoc_opt name undecided_pruned = Some true then Some name
+      (fun ((name, _, _) as info) ->
+        if unlabeled_dead info <> None || List.assoc_opt name undecided_pruned = Some true
+        then Some name
         else None)
       unlabeled_info
   in
-  let n_statically_decided =
-    List.length statically_dead_labels
-    + List.length (List.filter (fun (_, _, m) -> member_static_dead m) unlabeled_info)
+  (* The one dead set, in dispatch order: dead PLs, then dead unlabeled
+     states. *)
+  let dead =
+    List.map
+      (fun (lbl, analysis) ->
+        {
+          Mc.Prune.analysis;
+          cover = "PL " ^ lbl;
+          lits = [ (Harness.occ_any h lbl, true) ];
+          item = ();
+        })
+      dead_labels
+    @ List.filter_map
+        (fun ((name, occ, _) as info) ->
+          Option.map
+            (fun analysis ->
+              { Mc.Prune.analysis; cover = "state " ^ name; lits = [ (occ, true) ]; item = () })
+            (unlabeled_dead info))
+        unlabeled_info
   in
-  let n_absint_decided =
-    List.length absint_dead_labels
-    + List.length (List.filter unlabeled_absint_dead unlabeled_info)
-  in
-  if static_prune then begin
-    (st "duv_pl").pruned_static <- n_statically_decided;
-    if Obs.enabled () then
-      Obs.Metrics.incr "synth.pruned_static" ~by:n_statically_decided
+  if prune = Mc.Prune.On then begin
+    let count a = List.length (List.filter (fun d -> d.Mc.Prune.analysis = a) dead) in
+    let n_fsm = count fsm_analysis and n_kb = count kb_analysis in
+    (st "duv_pl").pruned_static <- n_fsm;
+    (st "duv_pl").pruned_absint <- n_kb;
+    if Obs.enabled () then begin
+      Obs.Metrics.incr "synth.pruned_static" ~by:n_fsm;
+      Obs.Metrics.incr "synth.pruned_absint" ~by:n_kb
+    end
   end;
-  (match absint with
-  | `On ->
-    (st "duv_pl").pruned_absint <- n_absint_decided;
-    if Obs.enabled () then
-      Obs.Metrics.incr "synth.pruned_absint" ~by:n_absint_decided
-  | `Off | `Audit -> ());
 
   (* ------------------------------------------------------------------ *)
   (* Stage B: PL reachability for the IUV (§V-B2).                        *)
@@ -757,67 +713,14 @@ let run_inner ?cache ?cache_salt ?config ?stimulus ?(semantic_cache = false)
       revisit_count_labels
   in
 
-  (* Trailing audit (only with [static_prune] off): dispatch every
-     statically-decided cover to the model checker after the main stream,
-     so the main stream's RNG/solver trajectory is identical in both modes
-     while the abstraction's verdicts still get checked.  A [Reachable]
-     verdict here means the over-approximation was unsound — fail loudly
-     rather than let a pruning bug pass silently. *)
-  if not static_prune then begin
-    List.iter
-      (fun lbl ->
-        match check "duv_pl" [ (Harness.occ_any h lbl, true) ] with
-        | Checker.Reachable _ ->
-          failwith
-            (Printf.sprintf
-               "Synth: static reachability abstraction unsound: PL %s is \
-                reachable"
-               lbl)
-        | Checker.Unreachable _ | Checker.Undetermined -> ())
-      statically_dead_labels;
-    List.iter
-      (fun (name, occ, m) ->
-        if member_static_dead m then
-          match check "duv_pl" [ (occ, true) ] with
-          | Checker.Reachable _ ->
-            failwith
-              (Printf.sprintf
-                 "Synth: static reachability abstraction unsound: state %s \
-                  is reachable"
-                 name)
-          | Checker.Unreachable _ | Checker.Undetermined -> ())
-      unlabeled_info
-  end;
-
-  (* Same discipline for the known-bits extra dead set: with [absint] off
-     or auditing, re-check each discharged cover after the main stream.
-     Synthesis has no honest-feedback path for a late [Reachable] (the
-     result is already assembled from the live covers), so both non-prune
-     modes treat it as an unsoundness failure. *)
-  (match absint with
-  | `On -> ()
-  | `Off | `Audit ->
-    List.iter
-      (fun lbl ->
-        match check "duv_pl" [ (Harness.occ_any h lbl, true) ] with
-        | Checker.Reachable _ ->
-          failwith
-            (Printf.sprintf
-               "Synth: known-bits abstraction unsound: PL %s is reachable" lbl)
-        | Checker.Unreachable _ | Checker.Undetermined -> ())
-      absint_dead_labels;
-    List.iter
-      (fun ((name, occ, _) as info) ->
-        if unlabeled_absint_dead info then
-          match check "duv_pl" [ (occ, true) ] with
-          | Checker.Reachable _ ->
-            failwith
-              (Printf.sprintf
-                 "Synth: known-bits abstraction unsound: state %s is \
-                  reachable"
-                 name)
-          | Checker.Unreachable _ | Checker.Undetermined -> ())
-      unlabeled_info);
+  (* Trailing batch: under [Off]/[Audit] every statically-dead cover is
+     dispatched after the main stream, so the mid-stream checker
+     trajectory is the same in every mode.  Synthesis has no
+     honest-feedback path for a late [Reachable] (the result is already
+     assembled from the live covers), so [Off] fails on one just as
+     [Audit] does. *)
+  Mc.Prune.run_deferred prune ~check:(check "duv_pl") ~reachable:Mc.Prune.unsound
+    dead;
 
   (* Decisions (§IV-B): aggregate per source PL. *)
   let decisions =
@@ -875,13 +778,13 @@ let run_inner ?cache ?cache_salt ?config ?stimulus ?(semantic_cache = false)
 let run ?cache ?cache_salt ?config ?stimulus ?semantic_cache
     ?revisit_count_labels
     ?max_candidate_sets ?max_revisit_count ?presim_episodes ?presim_cycles
-    ?static_prune ?absint ?dump_cnf ?(shards = 1) ?pool ~meta ~iuv ~iuv_pc () =
+    ?prune ?dump_cnf ?(shards = 1) ?pool ~meta ~iuv ~iuv_pc () =
   let shards = max 1 shards in
   let inner pool =
     run_inner ?cache ?cache_salt ?config ?stimulus ?semantic_cache
       ?revisit_count_labels
       ?max_candidate_sets ?max_revisit_count ?presim_episodes ?presim_cycles
-      ?static_prune ?absint ?dump_cnf ~shards ~pool ~meta ~iuv ~iuv_pc ()
+      ?prune ?dump_cnf ~shards ~pool ~meta ~iuv ~iuv_pc ()
   in
   let dispatch () =
     match pool with
@@ -938,7 +841,7 @@ let to_uhb_decisions r =
     r.decisions
 
 (* Semantic fields only: stage_stats and checker_stats are observability
-   (they vary with prune modes, cache warmth, and shard count), so two runs
+   (they vary with the prune mode, cache warmth, and shard count), so two runs
    that uncovered the same µPATH set digest identically — the same contract
    as Synthlc.Engine.report_digest. *)
 let result_digest r =

@@ -33,13 +33,13 @@ type stage_stats = {
   mutable pruned_static : int;
       (** Covers discharged by the static FSM-abstraction reachability
           pre-pass — never dispatched to simulation or the model checker.
-          Zero when [static_prune] is off (the audit re-checks count as
-          [props] instead). *)
+          Zero unless [prune] is {!Mc.Prune.On} (under [Off]/[Audit] the
+          trailing re-checks count as [props] instead). *)
   mutable pruned_absint : int;
       (** Covers discharged by the known-bits pre-pass {e beyond} the FSM
           abstraction: dead under {!Hdl.Analysis.fsm_reachable} refined
           with {!Hdl.Absint.known_bits}, or with an occupancy monitor bit
-          proven stuck at 0.  Zero unless [absint] is [`On]. *)
+          proven stuck at 0.  Zero unless [prune] is {!Mc.Prune.On}. *)
 }
 
 type result = {
@@ -73,8 +73,7 @@ val run :
   ?max_revisit_count:int ->
   ?presim_episodes:int ->
   ?presim_cycles:int ->
-  ?static_prune:bool ->
-  ?absint:[ `On | `Off | `Audit ] ->
+  ?prune:Mc.Prune.t ->
   ?dump_cnf:string ->
   ?shards:int ->
   ?pool:Pool.t ->
@@ -86,27 +85,20 @@ val run :
 (** Note: [meta] is consumed — the harness extends its netlist with monitor
     state, so build a fresh design per call.
 
-    [static_prune] (default [true]) enables the static FSM-abstraction
-    reachability pre-pass: covers over state valuations outside a µFSM's
-    abstract reachable set (see {!Hdl.Analysis.fsm_reachable}) are decided
-    unreachable without dispatching a property.  This is sound — the
-    abstraction over-approximates, so exclusion proves unreachability.
-    With [static_prune = false] those covers are instead dispatched as a
-    trailing audit batch after the main property stream; a [Reachable]
-    audit verdict raises [Failure].  Both modes issue the identical checker
-    sequence for every semantically-live cover, so the {!Synthlc} report
-    digest is bit-identical across modes.
-
-    [absint] (default [`On]) layers the known-bits pre-pass on top: covers
-    the FSM abstraction left undecided but that die under the
-    known-bits-refined reachability — or whose occupancy monitor bit is
-    proven stuck at 0 ({!Hdl.Absint.known_bits} over the monitored
-    netlist) — are discharged without a property.  The dead/live partition
-    is computed in {e every} mode, so the mid-stream checker sequence and
-    the report digest are bit-identical across [`On]/[`Off]/[`Audit]; with
-    [`Off] or [`Audit] the extra dead covers are re-dispatched as a second
-    trailing batch (after the [static_prune] audit batch), and a
-    [Reachable] verdict raises [Failure] in both — synthesis has no honest
+    [prune] (default {!Mc.Prune.On}) is the mode of the static
+    pre-deciders.  Their one dead set holds every cover over a state
+    valuation outside a µFSM's abstract reachable set (the FSM
+    abstraction, {!Hdl.Analysis.fsm_reachable}), or outside the set the
+    known-bits refinement of that analysis allows, or whose occupancy
+    monitor bit {!Hdl.Absint.known_bits} proves stuck at 0.  The
+    abstractions over-approximate, so exclusion proves unreachability; a
+    dead PL observed during the simulation pre-pass raises [Failure].  The
+    dead set is computed in every mode and kept out of the main property
+    stream, so the checker sequence for every live cover — and the report
+    digest — is bit-identical across modes.  [On] discharges the dead
+    covers without a property; [Off] and [Audit] dispatch them as one
+    trailing batch ({!Mc.Prune.run_deferred}), and a [Reachable] verdict
+    raises [Failure] naming the analysis in both — synthesis has no honest
     path to re-admit a cover after the main stream has run.
 
     [cache] attaches a persistent verdict store (see {!Mc.Checker.create}):
@@ -115,9 +107,7 @@ val run :
     the run that filled the store, because cached witness traces replay
     through the same harvesting code paths.  [semantic_cache] switches the
     store to the behavioral key namespace (see {!Mc.Checker.create}), so
-    semantically equivalent netlist variants share verdicts.
-    [config.sweep] selects the checker's equivalence-sweep mode; the
-    design's {!Designs.Meta.signals} are always passed as merge barriers.  With [shards > 1], each
+    semantically equivalent netlist variants share verdicts.  With [shards > 1], each
     non-zero shard stages its writes and the joins merge them in shard
     order.
 

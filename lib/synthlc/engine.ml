@@ -27,6 +27,9 @@ type transponder_report = {
   flow_pruned_absint : int;
       (* Covers discharged only by the known-bits-refined pre-pass; same
          digest-exclusion rule as flow_pruned_static. *)
+  flow_trailing : int;
+      (* Dead covers re-dispatched in the trailing batch (off/audit); same
+         digest-exclusion rule. *)
   static_flow_live : (Types.operand * string list) list;
       (* The static leakage grid: per operand, the PL labels its taint may
          reach.  Recomputed independently of Flow's pre-pass and used as a
@@ -121,8 +124,9 @@ let static_leakage_grid ~precise (design : unit -> Meta.t) =
     [ Types.Rs1; Types.Rs2 ]
 
 (* Standing soundness tripwire: every checker-tagged decision must lie
-   inside the static grid.  Skipped in [Prune_off], whose trailing batch
-   deliberately admits checker verdicts that contradict the abstraction. *)
+   inside the static grid.  Skipped under [Mc.Prune.Off], whose trailing
+   batch deliberately admits checker verdicts that contradict the
+   abstraction. *)
 let assert_inside_grid ~grid (tagged : Types.tagged_decision list) =
   List.iter
     (fun (d : Types.tagged_decision) ->
@@ -144,17 +148,8 @@ let assert_inside_grid ~grid (tagged : Types.tagged_decision list) =
                 (List.concat_map snd grid |> List.sort_uniq compare))))
     tagged
 
-(* {!Mupath.Synth} cannot depend on this library's {!Types}, so its absint
-   mode is a structural variant; the mapping is one-to-one. *)
-let synth_absint_mode = function
-  | Types.Prune_on -> `On
-  | Types.Prune_off -> `Off
-  | Types.Prune_audit -> `Audit
-
 let analyze_transponder ?cache ?config ?synth_config ?semantic_cache
-    ?static_prune ?dump_cnf
-    ?(precise = true) ?(static_flow_prune = Types.Prune_on)
-    ?(absint = Types.Prune_on)
+    ?(prune = Mc.Prune.On) ?dump_cnf ?(precise = true)
     ?(stimulus : stimulus_builder option) ?(exclude_sources = [])
     ~(design : unit -> Meta.t) ~(instr : Isa.t)
     ~(transmitters : Isa.opcode list) ~(kinds : Types.transmitter_kind list)
@@ -169,8 +164,7 @@ let analyze_transponder ?cache ?config ?synth_config ?semantic_cache
   in
   let synth =
     Mupath.Synth.run ?cache ?config:synth_config ?stimulus:stim
-      ?semantic_cache ?static_prune
-      ~absint:(synth_absint_mode absint) ?dump_cnf ~revisit_count_labels ~meta
+      ?semantic_cache ~prune ?dump_cnf ~revisit_count_labels ~meta
       ~iuv:instr ~iuv_pc ()
   in
   (* Candidate transponders have µPATH variability (§V-C): more than one
@@ -195,6 +189,7 @@ let analyze_transponder ?cache ?config ?synth_config ?semantic_cache
       flow_undetermined = 0;
       flow_pruned_static = 0;
       flow_pruned_absint = 0;
+      flow_trailing = 0;
       static_flow_live = [];
       flow_time = Unix.gettimeofday () -. t0;
     }
@@ -251,42 +246,31 @@ let analyze_transponder ?cache ?config ?synth_config ?semantic_cache
                   f sim c)
           in
           Flow.analyze ?cache ?config ?stimulus:stim' ?semantic_cache ~precise
-            ~static_flow_prune ~absint ~design:design' ~transponder:instr
+            ~prune ~design:design' ~transponder:instr
             ~decisions:multi_decisions ~transmitters ~kind ~operand ~iuv_pc ())
         pairs
     in
     let tagged = List.concat_map (fun a -> a.Flow.tagged) all in
-    let flow_props =
-      List.fold_left (fun acc a -> acc + a.Flow.stats.Flow.q_props) 0 all
-    in
-    let flow_undet =
-      List.fold_left (fun acc a -> acc + a.Flow.stats.Flow.q_undetermined) 0 all
-    in
-    let flow_pruned =
-      List.fold_left (fun acc a -> acc + a.Flow.stats.Flow.q_pruned_static) 0 all
-    in
-    let flow_pruned_ai =
-      List.fold_left (fun acc a -> acc + a.Flow.stats.Flow.q_pruned_absint) 0 all
-    in
+    let sum f = List.fold_left (fun acc a -> acc + f a.Flow.stats) 0 all in
     let grid = static_leakage_grid ~precise design in
-    if static_flow_prune <> Types.Prune_off then assert_inside_grid ~grid tagged;
+    if prune <> Mc.Prune.Off then assert_inside_grid ~grid tagged;
     {
       instr;
       synth;
       tagged;
       signatures = signatures_of_tagged instr synth.Mupath.Synth.decisions tagged;
-      flow_props;
-      flow_undetermined = flow_undet;
-      flow_pruned_static = flow_pruned;
-      flow_pruned_absint = flow_pruned_ai;
+      flow_props = sum (fun q -> q.Flow.q_props);
+      flow_undetermined = sum (fun q -> q.Flow.q_undetermined);
+      flow_pruned_static = sum (fun q -> q.Flow.q_pruned_static);
+      flow_pruned_absint = sum (fun q -> q.Flow.q_pruned_absint);
+      flow_trailing = sum (fun q -> q.Flow.q_trailing);
       static_flow_live = grid;
       flow_time = Unix.gettimeofday () -. t0;
     }
   end
 
-let run ?cache ?config ?synth_config ?semantic_cache ?static_prune ?dump_cnf
+let run ?cache ?config ?synth_config ?semantic_cache ?prune ?dump_cnf
     ?(precise = true)
-    ?(static_flow_prune = Types.Prune_on) ?(absint = Types.Prune_on)
     ?(stimulus : stimulus_builder option)
     ?(exclude_sources = []) ?(jobs = 1) ?pool ~(design : unit -> Meta.t)
     ~(instructions : Isa.t list) ~(transmitters : Isa.opcode list)
@@ -322,8 +306,7 @@ let run ?cache ?config ?synth_config ?semantic_cache ?static_prune ?dump_cnf
     in
     let go () =
       analyze_transponder ?cache:(cache_of index) ?config ?synth_config
-        ?semantic_cache ?static_prune ?dump_cnf ~precise ~static_flow_prune
-        ~absint ?stimulus
+        ?semantic_cache ?prune ?dump_cnf ~precise ?stimulus
         ~exclude_sources ~design ~instr ~transmitters ~kinds
         ~revisit_count_labels ~iuv_pc ()
     in
@@ -430,6 +413,7 @@ let equal_transponder (a : transponder_report) (b : transponder_report) =
   && a.flow_undetermined = b.flow_undetermined
   && a.flow_pruned_static = b.flow_pruned_static
   && a.flow_pruned_absint = b.flow_pruned_absint
+  && a.flow_trailing = b.flow_trailing
   && a.static_flow_live = b.static_flow_live
 
 let equal_report a b =
@@ -446,8 +430,7 @@ let equal_report a b =
    identically whether their verdicts came from the checker engines, from a
    warm cache, or (for statically-dead covers) from the reachability
    abstraction.  Stage/checker counters are deliberately excluded — they
-   differ between [static_prune] modes even though the synthesized facts do
-   not.  Marshaled without sharing so physically different but structurally
+   differ between prune modes even though the synthesized facts do not.  Marshaled without sharing so physically different but structurally
    equal reports serialize to the same bytes. *)
 let report_digest r =
   let transponder (t : transponder_report) =

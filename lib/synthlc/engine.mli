@@ -21,17 +21,21 @@ type transponder_report = {
   flow_undetermined : int;
   flow_pruned_static : int;
       (** IFT covers discharged by the static taint pre-pass without checker
-          calls.  Differs across {!Types.prune_mode}s (0 in off/audit), so
+          calls.  Differs across {!Mc.Prune} modes (0 in off/audit), so
           excluded from {!report_digest}. *)
   flow_pruned_absint : int;
       (** IFT covers discharged {e only} by the known-bits-refined pre-pass
           ({!Hdl.Absint}) — dead refined, live under the base pre-pass.
           Same digest-exclusion rule as [flow_pruned_static]. *)
+  flow_trailing : int;
+      (** Dead IFT covers re-dispatched in the trailing batch under
+          {!Mc.Prune.Off}/{!Mc.Prune.Audit} (0 under [On]).  Same
+          digest-exclusion rule. *)
   static_flow_live : (Types.operand * string list) list;
       (** The static leakage grid: per operand register, the PL labels whose
           µFSMs the operand's taint may reach.  Recomputed independently of
           the Flow pre-pass; every tagged decision is asserted to lie inside
-          it (except in {!Types.Prune_off}).  Excluded from the digest. *)
+          it (except under {!Mc.Prune.Off}).  Excluded from the digest. *)
   flow_time : float;
 }
 
@@ -86,11 +90,9 @@ val analyze_transponder :
   ?config:Mc.Checker.config ->
   ?synth_config:Mc.Checker.config ->
   ?semantic_cache:bool ->
-  ?static_prune:bool ->
+  ?prune:Mc.Prune.t ->
   ?dump_cnf:string ->
   ?precise:bool ->
-  ?static_flow_prune:Types.prune_mode ->
-  ?absint:Types.prune_mode ->
   ?stimulus:stimulus_builder ->
   ?exclude_sources:string list ->
   design:(unit -> Designs.Meta.t) ->
@@ -124,25 +126,16 @@ val analyze_transponder :
     produces a bit-identical report (same {!report_digest}) to the cold run
     that filled it.
 
-    [static_prune] is forwarded to {!Mupath.Synth.run} (default [true]):
-    covers over statically-unreachable µFSM states are discharged by the
-    FSM-abstraction reachability pre-pass without dispatching properties.
-    {!report_digest} is bit-identical across [static_prune] modes.
-
-    [static_flow_prune] (default {!Types.Prune_on}) is forwarded to
-    {!Flow.analyze}: IFT covers whose destinations lie outside the operand's
-    static taint cone are discharged without checker calls (on), dispatched
-    as a trailing trusted batch (off), or dispatched with a [failwith]
-    tripwire on any reachable verdict (audit).  All modes issue the same
-    mid-stream checker sequence, so {!report_digest} is bit-identical across
-    them whenever the abstraction is sound.
-
-    [absint] (default {!Types.Prune_on}) governs the known-bits refinement
-    ({!Hdl.Absint}) independently: it is forwarded to {!Mupath.Synth.run}
-    (extra statically-dead µFSM states and known-zero occupancy monitors)
-    and to {!Flow.analyze} (covers dead only under the known-bits-refined
-    taint pre-pass), with the same tri-mode contract and the same
-    digest-invariance guarantee.  [precise] (default [true])
+    [prune] (default {!Mc.Prune.On}) is the one mode of every static
+    pre-decider, forwarded to {!Mupath.Synth.run} (FSM abstraction and its
+    known-bits refinement over µFSM states) and to {!Flow.analyze} (taint
+    cone and its known-bits refinement over IFT covers).  Statically-dead
+    covers are discharged without checker calls ([On]), dispatched as a
+    trailing batch ([Off]; Flow tags a reachable one, Synth fails), or
+    dispatched with a [Failure] tripwire naming the analysis ([Audit]).
+    Every mode issues the same mid-stream checker sequence, so
+    {!report_digest} is bit-identical across them whenever the analyses
+    are sound.  [precise] (default [true])
     selects the IFT cell-rule precision, is threaded identically into the
     instrumentation and the static pre-pass, and namespaces the verdict
     cache when imprecise. *)
@@ -151,11 +144,9 @@ val run :
   ?config:Mc.Checker.config ->
   ?synth_config:Mc.Checker.config ->
   ?semantic_cache:bool ->
-  ?static_prune:bool ->
+  ?prune:Mc.Prune.t ->
   ?dump_cnf:string ->
   ?precise:bool ->
-  ?static_flow_prune:Types.prune_mode ->
-  ?absint:Types.prune_mode ->
   ?stimulus:stimulus_builder ->
   ?exclude_sources:string list ->
   ?jobs:int ->
@@ -181,7 +172,7 @@ val report_digest : report -> string
     property/outcome counters.  [equal_report a b] implies
     [report_digest a = report_digest b]; a warm-cache run digests
     identically to the cold run that filled its store, and the digest is
-    bit-identical across [static_prune] modes (whose stage counters
+    bit-identical across {!Mc.Prune} modes (whose stage counters
     differ). *)
 
 val all_signatures : report -> Types.signature list

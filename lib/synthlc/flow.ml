@@ -19,8 +19,7 @@ type query_stats = {
   mutable q_undetermined : int;
   mutable q_pruned_static : int;
   mutable q_pruned_absint : int;
-  mutable q_audit_props : int;
-  mutable q_audit_undetermined : int;
+  mutable q_trailing : int;
   mutable q_time : float;
 }
 
@@ -39,7 +38,7 @@ let transmitter_pc ~iuv_pc = function
 
 let analyze_inner ?cache ?cache_salt ?config ?stimulus ?semantic_cache
     ?(precise = true)
-    ?(static_flow_prune = Types.Prune_on) ?(absint = Types.Prune_on)
+    ?(prune = Mc.Prune.On)
     ~(design : unit -> Meta.t)
     ~(transponder : Isa.t)
     ~(decisions : (string * string list list) list)
@@ -125,8 +124,7 @@ let analyze_inner ?cache ?cache_salt ?config ?stimulus ?semantic_cache
           q_undetermined = 0;
           q_pruned_static = 0;
           q_pruned_absint = 0;
-          q_audit_props = 0;
-          q_audit_undetermined = 0;
+          q_trailing = 0;
           q_time = 0.;
         };
     }
@@ -138,9 +136,9 @@ let analyze_inner ?cache ?cache_salt ?config ?stimulus ?semantic_cache
      operand's taint may ever reach.  A cover whose destination set lies
      entirely outside this cone (or is empty — [or_all [] = gnd]) asks the
      checker to reach a constant-false taint conjunct and is statically
-     unreachable.  All three prune modes keep such covers out of the
+     unreachable.  Every [prune] mode keeps such covers out of the
      mid-stream checker sequence so the report digest is mode-invariant;
-     see {!Types.prune_mode}. *)
+     see {!Mc.Prune}. *)
   let static_masks =
     let go () = Hdl.Analysis.taint_reach ~precise ~blocked ~sources:[ op_reg ] nl in
     if Obs.enabled () then Obs.with_span "flow.static_taint" go else go ()
@@ -170,10 +168,8 @@ let analyze_inner ?cache ?cache_salt ?config ?stimulus ?semantic_cache
   (* Re-run the same pre-pass with the known-bits invariants from
      {!Hdl.Absint}: proven-constant selector and operand bits let the
      precise cell rules drop propagation edges the plain pre-pass keeps,
-     so strictly more covers are proven dead.  The refinement only prunes
-     {e extra} covers (dead refined, live under the base pre-pass); those
-     are tracked separately under [absint] with the same tri-mode contract
-     as [static_flow_prune], so each abstraction is auditable on its own. *)
+     so strictly more covers are proven dead.  A cover counts as a
+     known-bits prune only when the base pre-pass left it live. *)
   let refined_masks =
     let go () =
       let kb = Hdl.Absint.known_bits nl in
@@ -263,8 +259,7 @@ let analyze_inner ?cache ?cache_salt ?config ?stimulus ?semantic_cache
       q_undetermined = 0;
       q_pruned_static = 0;
       q_pruned_absint = 0;
-      q_audit_props = 0;
-      q_audit_undetermined = 0;
+      q_trailing = 0;
       q_time = 0.;
     }
   in
@@ -277,8 +272,19 @@ let analyze_inner ?cache ?cache_salt ?config ?stimulus ?semantic_cache
     | Types.Static -> [ (prev_gone_t, true) ]
   in
   let tagged = ref [] in
+  let tag (tx, src, dst) =
+    stats.q_tagged <- stats.q_tagged + 1;
+    tagged :=
+      {
+        Types.src;
+        dst;
+        input = { Types.transmitter = tx; unsafe_operand = operand; kind };
+      }
+      :: !tagged
+  in
+  let static_taint = "Flow: static taint abstraction" in
+  let kb_taint = "Flow: known-bits taint abstraction" in
   let deferred = ref [] in
-  let deferred_absint = ref [] in
   List.iter
     (fun tx ->
       (* Intrinsic transmitters can only be the transponder itself. *)
@@ -302,122 +308,65 @@ let analyze_inner ?cache ?cache_salt ?config ?stimulus ?semantic_cache
                   @ op_lit @ kind_lits
                 in
                 stats.q_props <- stats.q_props + 1;
-                if not (dst_live dst) then begin
-                  (* Statically dead: no destination µFSM lies inside the
-                     operand's taint cone (an empty destination set is dead
-                     by vacuity — its taint conjunct is a constant false). *)
-                  match static_flow_prune with
-                  | Types.Prune_on ->
+                (* Statically dead: no destination µFSM lies inside the
+                   operand's taint cone (an empty destination set is dead
+                   by vacuity — its taint conjunct is a constant false),
+                   first under the base pre-pass, else under its
+                   known-bits refinement. *)
+                let dead_by =
+                  if not (dst_live dst) then Some static_taint
+                  else if not (dst_live_refined dst) then Some kb_taint
+                  else None
+                in
+                match dead_by with
+                | Some analysis when prune = Mc.Prune.On ->
+                  if analysis = static_taint then begin
                     stats.q_pruned_static <- stats.q_pruned_static + 1;
                     if Obs.enabled () then Obs.Metrics.incr "flow.pruned_static"
-                  | Types.Prune_off | Types.Prune_audit ->
-                    deferred := (tx, src, dst, lits) :: !deferred
-                end
-                else if not (dst_live_refined dst) then begin
-                  (* Dead only under the known-bits-refined pre-pass: the
-                     extra prune attributable to {!Hdl.Absint}.  Kept out of
-                     the mid-stream sequence in every [absint] mode so the
-                     report digest is mode-invariant. *)
-                  match absint with
-                  | Types.Prune_on ->
+                  end
+                  else begin
                     stats.q_pruned_absint <- stats.q_pruned_absint + 1;
                     if Obs.enabled () then Obs.Metrics.incr "flow.pruned_absint"
-                  | Types.Prune_off | Types.Prune_audit ->
-                    deferred_absint := (tx, src, dst, lits) :: !deferred_absint
-                end
-                else
+                  end
+                | Some analysis ->
+                  let cover =
+                    Printf.sprintf "cover %s -> {%s} (%s, %s.%s)" src
+                      (String.concat ", " dst) (Types.kind_name kind)
+                      (Isa.mnemonic tx) (Types.operand_name operand)
+                  in
+                  deferred :=
+                    { Mc.Prune.analysis; cover; lits; item = (tx, src, dst) }
+                    :: !deferred
+                | None -> (
                   match Checker.check_cover ~name:"ift" chk lits with
-                  | Checker.Reachable _ ->
-                    stats.q_tagged <- stats.q_tagged + 1;
-                    tagged :=
-                      {
-                        Types.src;
-                        dst;
-                        input =
-                          { Types.transmitter = tx; unsafe_operand = operand; kind };
-                      }
-                      :: !tagged
+                  | Checker.Reachable _ -> tag (tx, src, dst)
                   | Checker.Undetermined ->
                     stats.q_undetermined <- stats.q_undetermined + 1
-                  | Checker.Unreachable _ -> ())
+                  | Checker.Unreachable _ -> ()))
               dsts)
           decisions)
     transmitters;
-  (* Trailing batch: in off/audit mode the statically-dead covers are still
-     dispatched, but only after the live mid-stream sequence above so every
-     mode issues the same mid-stream checker calls (same RNG draws, same
-     learned clauses — see {!Types.prune_mode}). *)
-  List.iter
-    (fun (tx, src, dst, lits) ->
-      stats.q_audit_props <- stats.q_audit_props + 1;
-      match Checker.check_cover ~name:"ift" chk lits with
-      | Checker.Reachable _ ->
-        if static_flow_prune = Types.Prune_audit then
-          failwith
-            (Printf.sprintf
-               "Flow: static taint abstraction unsound: cover %s -> {%s} \
-                (%s, %s.%s) is reachable but its destinations lie outside \
-                the static taint cone"
-               src
-               (String.concat ", " dst)
-               (Types.kind_name kind) (Isa.mnemonic tx)
-               (Types.operand_name operand))
-        else begin
-          stats.q_tagged <- stats.q_tagged + 1;
-          tagged :=
-            {
-              Types.src;
-              dst;
-              input = { Types.transmitter = tx; unsafe_operand = operand; kind };
-            }
-            :: !tagged
-        end
-      | Checker.Undetermined ->
-        stats.q_audit_undetermined <- stats.q_audit_undetermined + 1
-      | Checker.Unreachable _ -> ())
+  (* Trailing batch: under [Off]/[Audit] the statically-dead covers are
+     still dispatched, but only after the live mid-stream sequence above,
+     so every mode issues the same mid-stream checker calls (same RNG
+     draws, same learned clauses).  [Off] trusts the checker and tags a
+     reachable cover honestly — the digest then diverges, by design. *)
+  Mc.Prune.run_deferred prune
+    ~check:(fun lits ->
+      stats.q_trailing <- stats.q_trailing + 1;
+      Checker.check_cover ~name:"ift" chk lits)
+    ~reachable:(fun d -> tag d.Mc.Prune.item)
     (List.rev !deferred);
-  (* Second trailing batch: the known-bits-only prunes, audited under the
-     [absint] mode with the same off/audit semantics. *)
-  List.iter
-    (fun (tx, src, dst, lits) ->
-      stats.q_audit_props <- stats.q_audit_props + 1;
-      match Checker.check_cover ~name:"ift" chk lits with
-      | Checker.Reachable _ ->
-        if absint = Types.Prune_audit then
-          failwith
-            (Printf.sprintf
-               "Flow: known-bits abstraction unsound: cover %s -> {%s} \
-                (%s, %s.%s) is reachable but the refined taint pre-pass \
-                proved its destinations unreachable"
-               src
-               (String.concat ", " dst)
-               (Types.kind_name kind) (Isa.mnemonic tx)
-               (Types.operand_name operand))
-        else begin
-          stats.q_tagged <- stats.q_tagged + 1;
-          tagged :=
-            {
-              Types.src;
-              dst;
-              input = { Types.transmitter = tx; unsafe_operand = operand; kind };
-            }
-            :: !tagged
-        end
-      | Checker.Undetermined ->
-        stats.q_audit_undetermined <- stats.q_audit_undetermined + 1
-      | Checker.Unreachable _ -> ())
-    (List.rev !deferred_absint);
   stats.q_time <- Unix.gettimeofday () -. t_start;
   { tagged = List.rev !tagged; static_live; stats }
 
 let analyze ?cache ?cache_salt ?config ?stimulus ?semantic_cache ?precise
-    ?static_flow_prune
-    ?absint ~design ~transponder ~decisions ~transmitters ~kind ~operand
+    ?prune ~design ~transponder ~decisions ~transmitters ~kind ~operand
     ~iuv_pc () =
   let go () =
     analyze_inner ?cache ?cache_salt ?config ?stimulus ?semantic_cache ?precise
-      ?static_flow_prune ?absint ~design ~transponder ~decisions ~transmitters
-      ~kind ~operand ~iuv_pc ()
+      ?prune ~design ~transponder ~decisions ~transmitters ~kind ~operand
+      ~iuv_pc ()
   in
   if Obs.enabled () then
     Obs.with_span "flow.analyze"

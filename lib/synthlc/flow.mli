@@ -13,23 +13,20 @@
 type query_stats = {
   mutable q_props : int;
       (** Covers considered, including statically-discharged ones — identical
-          across prune modes and part of the report digest. *)
+          across {!Mc.Prune} modes and part of the report digest. *)
   mutable q_tagged : int;
   mutable q_undetermined : int;
   mutable q_pruned_static : int;
       (** Covers discharged by the static taint pre-pass without a checker
-          call.  Only incremented in {!Types.Prune_on}; excluded from the
+          call.  Only incremented under {!Mc.Prune.On}; excluded from the
           report digest. *)
   mutable q_pruned_absint : int;
       (** Covers discharged {e only} by the known-bits-refined pre-pass
           (dead refined, live under the base pre-pass).  Only incremented
-          when the [absint] mode is {!Types.Prune_on}; excluded from the
-          report digest. *)
-  mutable q_audit_props : int;
-      (** Statically-dead covers dispatched in the trailing batch of
-          {!Types.Prune_off}/{!Types.Prune_audit}.  Excluded from the
-          digest. *)
-  mutable q_audit_undetermined : int;
+          under {!Mc.Prune.On}; excluded from the report digest. *)
+  mutable q_trailing : int;
+      (** Statically-dead covers dispatched in the trailing batch under
+          {!Mc.Prune.Off}/{!Mc.Prune.Audit}.  Excluded from the digest. *)
   mutable q_time : float;
 }
 
@@ -54,8 +51,7 @@ val analyze :
   ?stimulus:(Sim.t -> int -> unit) ->
   ?semantic_cache:bool ->
   ?precise:bool ->
-  ?static_flow_prune:Types.prune_mode ->
-  ?absint:Types.prune_mode ->
+  ?prune:Mc.Prune.t ->
   design:(unit -> Designs.Meta.t) ->
   transponder:Isa.t ->
   decisions:(string * string list list) list ->
@@ -71,13 +67,11 @@ val analyze :
     itself); [precise] selects the IFT cell-rule precision (§VII-B1
     ablation) — it is threaded identically into the static taint pre-pass
     and folded into the verdict-cache namespace when imprecise.
-    [static_flow_prune] (default {!Types.Prune_on}) selects what happens to
-    covers the pre-pass proves unreachable; all three modes issue the same
-    mid-stream checker sequence (see {!Types.prune_mode}).  [absint]
-    (default {!Types.Prune_on}) independently governs the covers discharged
-    only by the known-bits-refined pre-pass ({!Hdl.Absint}): they are kept
-    out of the mid-stream sequence in every mode, discharged silently under
-    [Prune_on], re-dispatched in a second trailing batch under
-    [Prune_off]/[Prune_audit], and [Prune_audit] fails hard if any such
-    cover is in fact reachable.  [design] must build a fresh metadata
-    instance per call. *)
+    [prune] (default {!Mc.Prune.On}) selects what happens to the one dead
+    set: covers whose destinations lie outside the operand's static taint
+    cone, or outside the cone its known-bits refinement ({!Hdl.Absint})
+    allows.  Every mode keeps them out of the mid-stream checker sequence.
+    [On] discharges them; [Off] dispatches them as one trailing batch and
+    tags any reachable one; [Audit] dispatches the same batch and raises
+    [Failure], naming the analysis, on any reachable one.  [design] must
+    build a fresh metadata instance per call. *)

@@ -8,9 +8,12 @@
 # bit-identity booleans, prop and prune counts, fuzz failure counts —
 # must match exactly; a mismatch fails the gate (exit 1).  Timing fields
 # are compared warn-only: a slowdown prints a warning but never fails,
-# since CI runners vary.  Only keys present in BOTH files are compared,
-# so the baseline may carry more (or fewer) experiments than the run
-# under test without tripping the gate.
+# since CI runners vary.  A section is a key minus its last component
+# (e.g. "cache", "experiment.P3", "prune.gated").  Sections the fresh run
+# did not emit are skipped, so the baseline may carry more experiments
+# than the run under test; but a baseline key missing from a section the
+# fresh run did emit is a MISMATCH, so a deleted or renamed bench key
+# cannot pass silently.
 set -euo pipefail
 
 baseline="${1:-}"
@@ -43,17 +46,14 @@ project_semantic() {
           kv("cache.report_digest"; .report_digest),
           kv("cache.checker_calls"; .checker_calls),
           kv("cache.warm_hits"; .warm_hits)),
-      (.static_prune? // empty
-        | kv("static_prune.digest_identical"; .digest_identical),
-          kv("static_prune.report_digest"; .report_digest),
-          kv("static_prune.covers_pruned"; .covers_pruned),
-          kv("static_prune.duv_props_on"; .duv_props_on),
-          kv("static_prune.duv_props_off"; .duv_props_off)),
-      (.static_flow? // empty
-        | kv("static_flow.digest_identical"; .digest_identical),
-          kv("static_flow.report_digest"; .report_digest),
-          kv("static_flow.covers_pruned"; .covers_pruned),
-          kv("static_flow.flow_props"; .flow_props)),
+      (.prune? // empty | to_entries[] | .key as $w | .value
+        | kv("prune.\($w).digest_identical"; .digest_identical),
+          kv("prune.\($w).report_digest"; .report_digest),
+          kv("prune.\($w).synth_static"; .synth_static),
+          kv("prune.\($w).synth_absint"; .synth_absint),
+          kv("prune.\($w).flow_static"; .flow_static),
+          kv("prune.\($w).flow_absint"; .flow_absint),
+          kv("prune.\($w).trailing"; .trailing)),
       (.sat? // empty
         | kv("sat.digest_identical"; .digest_identical),
           kv("sat.report_digest"; .report_digest),
@@ -62,11 +62,7 @@ project_semantic() {
         | kv("obs.digest_identical"; .digest_identical),
           kv("obs.events"; .events)),
       (.absint? // empty
-        | kv("absint.digest_identical"; .digest_identical),
-          kv("absint.report_digest"; .report_digest),
-          kv("absint.covers_pruned"; .covers_pruned),
-          kv("absint.pruned_static"; .pruned_static),
-          kv("absint.kb_set_identical"; .kb_set_identical)),
+        | kv("absint.kb_set_identical"; .kb_set_identical)),
       (.fuzz? // empty
         | kv("fuzz.seed"; .seed),
           kv("fuzz.designs"; .designs),
@@ -103,9 +99,7 @@ project_timing() {
       kv("total_time_s"; .total_time_s),
       (.experiments[]? | kv("experiment.\(.id).time_s"; .time_s)),
       (.cache? // empty | kv("cache.t_warm_s"; .t_warm_s)),
-      (.sweep? // empty
-        | kv("sweep.t_off_s"; .t_off_s),
-          kv("sweep.t_on_s"; .t_on_s)),
+      (.sweep? // empty | kv("sweep.t_gl_s"; .t_gl_s)),
       (.fuzz? // empty | kv("fuzz.t_total_s"; .t_total_s)),
       (.frontend? // empty
         | kv("frontend.t_export_s"; .t_export_s),
@@ -122,11 +116,22 @@ trap 'rm -rf "$tmp"' EXIT
 project_semantic "$baseline" | sort >"$tmp/base.sem"
 project_semantic "$fresh" | sort >"$tmp/fresh.sem"
 
+awk -F'\t' '{ k = $1; sub(/\.[^.]*$/, "", k); print k }' "$tmp/fresh.sem" \
+  | sort -u >"$tmp/fresh.sections"
+
 echo "== bench_check: semantic comparison =="
 compared=0
 while IFS=$'\t' read -r key bval; do
   fval="$(awk -F'\t' -v k="$key" '$1 == k { print $2 }' "$tmp/fresh.sem")"
-  [ -z "$fval" ] && continue  # key absent in fresh run: not compared
+  if [ -z "$fval" ]; then
+    # Absent from a section the fresh run emitted: the key was deleted or
+    # renamed.  Absent with its whole section: not run, not compared.
+    if grep -qxF "${key%.*}" "$tmp/fresh.sections"; then
+      echo "MISMATCH  $key: baseline=$bval fresh=<missing>"
+      fail=1
+    fi
+    continue
+  fi
   compared=$((compared + 1))
   if [ "$bval" != "$fval" ]; then
     echo "MISMATCH  $key: baseline=$bval fresh=$fval"

@@ -278,56 +278,30 @@ let test_taint_reach_refined () =
 
 (* --- end-to-end: absint prune tri-mode digest identity ----------------- *)
 
-(* The gated demo DUV (see Designs.Gated): its "gate" µFSM reaches all four
-   states under the plain FSM abstraction but only two once known-bits
-   proves the gating register stuck at 0 — so exactly two covers are
-   discharged by the absint prune, beyond the one the base prune gets. *)
-let gated_config =
-  {
-    Mc.Checker.default_config with
-    Mc.Checker.bmc_depth = 10;
-    sim_episodes = 8;
-    sim_cycles = 16;
-  }
+let gated_config = Test_prune.gated_config
 
-let run_gated absint =
-  let design () = Designs.Gated.build () in
-  Synthlc.Engine.run ~config:gated_config ~synth_config:gated_config ~absint
-    ~design ~jobs:1
-    ~instructions:[ Isa.make ~rd:1 ~rs1:2 ~rs2:3 Isa.ADD ]
-    ~transmitters:[ Isa.ADD ]
-    ~kinds:[ Synthlc.Types.Intrinsic ]
-    ~revisit_count_labels:[] ~iuv_pc:Designs.Gated.iuv_pc ()
-
-let synth_of r =
-  match r.Synthlc.Engine.transponders with
-  | [ t ] -> t.Synthlc.Engine.synth
-  | _ -> Alcotest.fail "expected one transponder"
-
+(* On the gated demo DUV exactly two covers are discharged by the known-bits
+   refinement, beyond the one the base FSM abstraction gets. *)
 let test_absint_prune_digest_identical () =
-  let on = run_gated Synthlc.Types.Prune_on in
-  let off = run_gated Synthlc.Types.Prune_off in
-  let audit = run_gated Synthlc.Types.Prune_audit in
-  let d = Synthlc.Engine.report_digest in
-  Alcotest.(check string) "digest on = off" (d off) (d on);
-  Alcotest.(check string) "digest on = audit" (d audit) (d on);
-  let duv_stats r = List.assoc "duv_pl" (synth_of r).Mupath.Synth.stage_stats in
+  let on, others = Lazy.force Test_prune.gated_modes in
+  let c = Test_prune.total on in
   Alcotest.(check int) "on mode discharges two absint covers" 2
-    (duv_stats on).Mupath.Synth.pruned_absint;
-  Alcotest.(check int) "off mode discharges nothing" 0
-    (duv_stats off).Mupath.Synth.pruned_absint;
-  Alcotest.(check int) "audit mode discharges nothing" 0
-    (duv_stats audit).Mupath.Synth.pruned_absint;
+    c.Test_prune.synth_absint;
   (* The base prune is orthogonal and still fires (state st=3). *)
-  Alcotest.(check int) "base static prune unaffected" 1
-    (duv_stats on).Mupath.Synth.pruned_static;
+  Alcotest.(check int) "base static prune unaffected" 1 c.Test_prune.synth_static;
   (* The dead states land in pruned_duv_states in every mode — they are
      part of the report digest, so mode-independence is load-bearing. *)
-  let pruned r = (synth_of r).Mupath.Synth.pruned_duv_states in
-  Alcotest.(check (list string)) "pruned states mode-independent"
-    (pruned on) (pruned off);
-  Alcotest.(check (list string)) "pruned states mode-independent (audit)"
-    (pruned on) (pruned audit);
+  let pruned r =
+    List.concat_map
+      (fun (t : Synthlc.Engine.transponder_report) ->
+        t.Synthlc.Engine.synth.Mupath.Synth.pruned_duv_states)
+      (Test_prune.transponders r)
+  in
+  List.iter
+    (fun r ->
+      Alcotest.(check (list string)) "pruned states mode-independent"
+        (pruned on) (pruned r))
+    others;
   Alcotest.(check bool) "gate µFSM states are among the pruned" true
     (List.exists (fun s -> String.length s >= 4 && String.sub s 0 4 = "gate")
        (pruned on))
@@ -349,40 +323,15 @@ let test_known_bits_encoding_digest_identical () =
     (Synthlc.Engine.report_digest without_kb)
     (Synthlc.Engine.report_digest with_kb)
 
-(* Tri-mode identity on a built-in core (mirroring test_taint's flow-prune
-   test): ibex_lite has no register-level known bits, so the refinement
-   must discharge nothing — and, exactly because the dead/live partition
-   is computed identically in every mode, the digest must still match. *)
+(* Tri-mode identity on a built-in core: ibex_lite has no register-level
+   known bits, so the refinement must discharge nothing — and, exactly
+   because the dead/live partition is computed identically in every mode,
+   the digest must still match. *)
 let test_absint_noop_on_ibex () =
-  let run absint =
-    let design () = Designs.Ibex.build () in
-    let stimulus ~pins ~rotate meta = Designs.Stimulus.ibex ~pins ~rotate meta in
-    Synthlc.Engine.run ~config:Test_parallel.light_config
-      ~synth_config:Test_parallel.light_config ~absint ~stimulus ~design
-      ~jobs:1
-      ~instructions:[ Isa.make ~rd:1 ~rs1:2 ~rs2:3 Isa.DIV ]
-      ~transmitters:[ Isa.DIV ]
-      ~kinds:[ Synthlc.Types.Intrinsic ]
-      ~revisit_count_labels:[ "divU" ] ~iuv_pc:Designs.Core.iuv_pc ()
-  in
-  let on = run Synthlc.Types.Prune_on in
-  let off = run Synthlc.Types.Prune_off in
-  let audit = run Synthlc.Types.Prune_audit in
-  let d = Synthlc.Engine.report_digest in
-  Alcotest.(check string) "digest on = off" (d off) (d on);
-  Alcotest.(check string) "digest on = audit" (d audit) (d on);
-  let absint_pruned (r : Synthlc.Engine.report) =
-    List.fold_left
-      (fun acc (t : Synthlc.Engine.transponder_report) ->
-        List.fold_left
-          (fun acc (_, (s : Mupath.Synth.stage_stats)) ->
-            acc + s.Mupath.Synth.pruned_absint)
-          acc t.Synthlc.Engine.synth.Mupath.Synth.stage_stats
-        + t.Synthlc.Engine.flow_pruned_absint)
-      0 r.Synthlc.Engine.transponders
-  in
+  let on, _ = Lazy.force Test_prune.ibex_modes in
+  let c = Test_prune.total on in
   Alcotest.(check int) "nothing to discharge on ibex_lite" 0
-    (absint_pruned on)
+    (c.Test_prune.synth_absint + c.Test_prune.flow_absint)
 
 let suite =
   ( "absint",

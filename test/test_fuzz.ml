@@ -161,8 +161,8 @@ let test_campaign_defect_path () =
   | l -> Alcotest.failf "expected one failure row, got %d" (List.length l)
 
 (* One engine-level battery: the minimal config through every oracle
-   (validate/lint/determinism/jobs/cache-warm/prune-modes/portfolio/
-   sweep/grid), every verdict Pass. *)
+   (validate/absint/lint/determinism/roundtrip/jobs/cache-warm/prune/
+   portfolio/grid), every verdict Pass. *)
 let test_minimal_battery_green () =
   let outcome = O.run ~depth:5 ~episodes:2 G.minimal in
   List.iter

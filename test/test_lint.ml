@@ -243,48 +243,12 @@ let test_cva6_static_dead () =
        [ 0; 1; 2; 3 ])
 
 (* Synthesis end-to-end: static pruning must not change the report digest,
-   and the pruned covers must vanish from the duv_pl property count. *)
-let run_ibex_engine ~static_prune () =
-  let design () = Designs.Ibex.build () in
-  let stimulus ~pins ~rotate meta = Designs.Stimulus.ibex ~pins ~rotate meta in
-  Synthlc.Engine.run ~config:Test_parallel.light_config
-    ~synth_config:Test_parallel.light_config ~static_prune ~stimulus ~design
-    ~jobs:1
-    ~instructions:
-      [ Isa.make ~rd:1 ~rs1:2 ~rs2:3 Isa.ADD; Isa.make ~rd:1 ~rs1:2 ~rs2:3 Isa.DIV ]
-    ~transmitters:[ Isa.DIV; Isa.ADD ]
-    ~kinds:[ Synthlc.Types.Intrinsic ]
-    ~revisit_count_labels:[ "divU" ] ~iuv_pc:Designs.Core.iuv_pc ()
-
-let duv_stage (r : Synthlc.Engine.report) =
-  List.map
-    (fun (t : Synthlc.Engine.transponder_report) ->
-      List.assoc "duv_pl" t.Synthlc.Engine.synth.Mupath.Synth.stage_stats)
-    r.Synthlc.Engine.transponders
-
+   and every pruned cover must reappear as a trailing property when pruning
+   is off (checked by Test_prune.check_modes). *)
 let test_static_prune_digest_identical () =
-  let on = run_ibex_engine ~static_prune:true () in
-  let off = run_ibex_engine ~static_prune:false () in
-  Alcotest.(check string) "digest identical across prune modes"
-    (Synthlc.Engine.report_digest off)
-    (Synthlc.Engine.report_digest on);
-  let pruned =
-    List.fold_left
-      (fun a (s : Mupath.Synth.stage_stats) -> a + s.Mupath.Synth.pruned_static)
-      0 (duv_stage on)
-  in
-  Alcotest.(check bool) "pre-pass prunes covers" true (pruned > 0);
-  Alcotest.(check int) "audit mode reports no static prunes" 0
-    (List.fold_left
-       (fun a (s : Mupath.Synth.stage_stats) -> a + s.Mupath.Synth.pruned_static)
-       0 (duv_stage off));
-  (* Every statically-discharged cover reappears as an audit property. *)
-  List.iter2
-    (fun (son : Mupath.Synth.stage_stats) (soff : Mupath.Synth.stage_stats) ->
-      Alcotest.(check int) "audit props = pruned covers"
-        (son.Mupath.Synth.props + son.Mupath.Synth.pruned_static)
-        soff.Mupath.Synth.props)
-    (duv_stage on) (duv_stage off)
+  let on, _ = Lazy.force Test_prune.ibex_modes in
+  Alcotest.(check bool) "pre-pass prunes covers" true
+    ((Test_prune.total on).Test_prune.synth_static > 0)
 
 let suite =
   ( "lint",

@@ -1,14 +1,11 @@
-(* Sweep-integration tests: checker tri-mode digest identity on the toy
-   DUV (off / on / audit produce bit-identical synthesis results, with the
-   audit's divergence tripwire armed throughout), admission of the
-   committed gate-level ibex_lite example plus its >=20% merge ratio and
-   cross-variant semantic digest, and the semantic cache namespace — a
-   cold gate-level fill of the verdict store warms the word-level
-   original's run with zero misses. *)
+(* Sweep-integration tests: admission of the committed gate-level
+   ibex_lite example plus its >=20% merge ratio and cross-variant semantic
+   digest, and the semantic cache namespace — a cold gate-level fill of
+   the verdict store warms the word-level original's run with zero
+   misses. *)
 
 module N = Hdl.Netlist
 module E = Hdl.Equiv
-module C = Mc.Checker
 module Meta = Designs.Meta
 
 let gl_json = "../examples/ibex_lite_gl.json"
@@ -27,26 +24,9 @@ let load_or_fail ?lint ~json_path ~meta_path () =
               else None)
             r.Lint.Diagnostic.diags))
 
-(* --- tri-mode digest identity on the toy DUV ----------------------------- *)
-
-let run_toy ?cache ?(semantic_cache = false) ~sweep meta =
-  Mupath.Synth.run ?cache ~semantic_cache
-    ~config:{ Test_mupath.toy_config with C.sweep }
+let run_toy ~cache meta =
+  Mupath.Synth.run ~cache ~semantic_cache:true ~config:Test_mupath.toy_config
     ~meta ~iuv:(Isa.make Isa.ADD) ~iuv_pc:2 ()
-
-let test_trimode_identity () =
-  let d sweep =
-    Mupath.Synth.result_digest
-      (run_toy ~sweep (Test_mupath.toy_design ()))
-  in
-  let off = d C.Sweep_off in
-  Alcotest.(check string) "sweep on reproduces the unswept digest" off
-    (d C.Sweep_on);
-  (* Audit re-runs every SAT-resolved cover on the unswept shadow engine
-     and raises Failure on any verdict or witness divergence — a green
-     check here is the cross-check itself. *)
-  Alcotest.(check string) "sweep audit is silent and digest-identical" off
-    (d C.Sweep_audit)
 
 (* --- committed gate-level example ---------------------------------------- *)
 
@@ -116,16 +96,14 @@ let test_semantic_cache_cross_variant () =
   (* Cold: the gate-level variant fills the semantic-key namespace. *)
   let cold = Vcache.create ~dir:cache_dir () in
   let r_gl =
-    run_toy ~cache:cold ~semantic_cache:true ~sweep:C.Sweep_on
-      d.Frontend.Admission.meta
+    run_toy ~cache:cold d.Frontend.Admission.meta
   in
   let _, _, stores = Vcache.counters cold in
   Alcotest.(check bool) "cold run stored verdicts" true (stores > 0);
   (* Warm: the word-level original replays entirely from the store. *)
   let warm = Vcache.create ~dir:cache_dir () in
   let r_wl =
-    run_toy ~cache:warm ~semantic_cache:true ~sweep:C.Sweep_on
-      (Test_mupath.toy_design ())
+    run_toy ~cache:warm (Test_mupath.toy_design ())
   in
   let hits, misses, _ = Vcache.counters warm in
   Alcotest.(check bool) "word-level run hits the gate-level entries" true
@@ -138,8 +116,6 @@ let test_semantic_cache_cross_variant () =
 let suite =
   ( "sweep",
     [
-      Alcotest.test_case "tri-mode synthesis digest identity" `Quick
-        test_trimode_identity;
       Alcotest.test_case "gate-level example admits, semantic digest matches"
         `Quick test_gl_example_admission;
       Alcotest.test_case "gate-level example sweeps >= 20%" `Quick

@@ -156,6 +156,7 @@ let test_grid () =
       flow_undetermined = 0;
       flow_pruned_static = 0;
       flow_pruned_absint = 0;
+      flow_trailing = 0;
       static_flow_live = [];
       flow_time = 0.1;
     }
