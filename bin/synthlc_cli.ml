@@ -38,16 +38,26 @@ let is_json_path d = Filename.check_suffix d ".json"
 let default_meta_path json_path =
   Filename.remove_extension json_path ^ ".meta.json"
 
-(* An unknown design name is a harness error: exit 2 with a clean message,
-   matching lint's 0/1/2 contract (mupath/synthlc/lint all agree). *)
+(* Harness errors (an unknown design, an unreadable or malformed input)
+   exit 2 with one named message, matching lint's 0/1/2 contract: every
+   subcommand that takes a design or a program agrees. *)
+let harness_error ~cmd fmt =
+  Printf.ksprintf
+    (fun msg ->
+      Printf.eprintf "%s: %s\n" cmd msg;
+      exit 2)
+    fmt
+
 let check_design_name ~cmd d =
-  if (not (is_json_path d)) && not (List.mem d design_names) then begin
-    Printf.eprintf
-      "%s: unknown design %S (expected: %s, or a Yosys .json netlist path)\n"
-      cmd d
-      (String.concat ", " design_names);
-    exit 2
-  end
+  if (not (is_json_path d)) && not (List.mem d design_names) then
+    harness_error ~cmd
+      "unknown design %S (expected: %s, or a Yosys .json netlist path)" d
+      (String.concat ", " design_names)
+
+let assemble_or_exit ~cmd src =
+  match Isa.assemble src with
+  | Ok p -> p
+  | Error e -> harness_error ~cmd "bad program: %s" e
 
 (* A rejected import is also a harness error: print the full admission
    report (every offending cell named) and exit 2. *)
@@ -55,8 +65,7 @@ let with_admission ~cmd f =
   try f ()
   with Frontend.Diag.Rejected r ->
     Format.eprintf "%a@." Lint.Diagnostic.pp_report r;
-    Printf.eprintf "%s: design rejected at admission\n" cmd;
-    exit 2
+    harness_error ~cmd "design rejected at admission"
 
 type design_src =
   | Builtin of string
@@ -234,6 +243,15 @@ let instrs_conv =
   in
   Arg.conv (parse, print)
 
+(* An unknown mnemonic is a usage error naming it (exit 124), not a
+   silently dropped list element. *)
+let opcode_conv =
+  let parse s =
+    Option.to_result (Isa.opcode_of_mnemonic s)
+      ~none:(`Msg (Printf.sprintf "unknown mnemonic %S" s))
+  in
+  Arg.conv (parse, fun fmt op -> Format.pp_print_string fmt (Isa.mnemonic op))
+
 let instr_arg =
   let doc = "Instruction under verification, in assembly (e.g. 'div r1, r2, r3')." in
   Arg.(
@@ -272,15 +290,6 @@ let with_obs ~trace ~metrics f =
       f
   end
 
-let portfolio_arg =
-  let doc =
-    "Race $(docv) diversified solver configurations per hard BMC query \
-     (clause-sharing portfolio).  The canonical solver's verdict and \
-     witness are always the ones reported, so results and the report \
-     digest are bit-identical to $(b,--portfolio=1)."
-  in
-  Arg.(value & opt int 1 & info [ "portfolio" ] ~docv:"K" ~doc)
-
 let no_cse_arg =
   let doc =
     "Disable structural hashing (CSE) in the Tseitin encoding — mainly for \
@@ -297,7 +306,7 @@ let dump_cnf_arg =
   in
   Arg.(value & opt (some string) None & info [ "dump-cnf" ] ~docv:"FILE" ~doc)
 
-let config_of depth episodes ~portfolio ~no_cse ~no_known_bits =
+let config_of depth episodes ~no_cse ~no_known_bits =
   {
     Mc.Checker.default_config with
     Mc.Checker.bmc_depth = depth;
@@ -307,7 +316,6 @@ let config_of depth episodes ~portfolio ~no_cse ~no_known_bits =
     sim_cycles = 44;
     encode_cse = not no_cse;
     known_bits = not no_known_bits;
-    portfolio_domains = max 1 portfolio;
   }
 
 (* `None (e.g. the gated demo) means no program-shaped input protocol: the
@@ -334,17 +342,26 @@ let rotating_stimulus_of src =
 (* --- sim -------------------------------------------------------------- *)
 
 let sim_cmd =
+  let core_designs =
+    List.filter (fun d -> not (is_cache d) && d <> "gated") design_names
+  in
   let run dname program_file cycles =
-    let meta = build_design dname in
-    if is_cache dname then failwith "sim drives processor cores; use the cache tests for the cache DUV";
-    if dname = "gated" then failwith "sim drives processor cores; the gated demo DUV has no program input";
+    (* Vet the design before touching stdin, so a bad name never blocks
+       waiting for a program. *)
+    if not (List.mem dname core_designs) then
+      harness_error ~cmd:"sim" "%s %S (sim drives processor cores: %s)"
+        (if List.mem dname design_names then "non-core design"
+         else "unknown design")
+        dname
+        (String.concat ", " core_designs);
     let src =
-      if program_file = "-" then In_channel.input_all In_channel.stdin
-      else In_channel.with_open_text program_file In_channel.input_all
+      try
+        if program_file = "-" then In_channel.input_all In_channel.stdin
+        else In_channel.with_open_text program_file In_channel.input_all
+      with Sys_error e -> harness_error ~cmd:"sim" "cannot read program: %s" e
     in
-    let program =
-      match Isa.assemble src with Ok p -> Array.of_list p | Error e -> failwith e
-    in
+    let program = Array.of_list (assemble_or_exit ~cmd:"sim" src) in
+    let meta = build_design dname in
     let nl = meta.Designs.Meta.nl in
     let sget n = Option.get (Hdl.Netlist.find_named nl n) in
     let sim = Sim.create ~seed:1 nl in
@@ -402,13 +419,13 @@ let sim_cmd =
 
 let mupath_cmd =
   let run dname meta_path iuv depth episodes dot counts shards cache_dir prune
-      portfolio no_cse no_known_bits semantic_cache dump_cnf trace metrics =
+      no_cse no_known_bits semantic_cache dump_cnf trace metrics =
     let src = resolve_design ~cmd:"mupath" ?meta:meta_path dname in
     with_obs ~trace ~metrics (fun () ->
         let meta = builder_of ~cmd:"mupath" src () in
         let iuv_pc = iuv_pc_of src in
         let stim = stimulus_of src ~pins:[ (iuv_pc, iuv) ] meta in
-        let config = config_of depth episodes ~portfolio ~no_cse ~no_known_bits in
+        let config = config_of depth episodes ~no_cse ~no_known_bits in
         let cache = cache_of cache_dir in
         let r =
           Mupath.Synth.run ?cache ~config ?stimulus:stim ~semantic_cache
@@ -432,25 +449,22 @@ let mupath_cmd =
     (Cmd.info "mupath" ~doc:"RTL2MuPATH: synthesize the uPATH set for one instruction")
     Term.(
       const run $ design_arg $ meta_arg $ instr_arg $ depth_arg $ episodes_arg
-      $ dot $ counts $ shards_arg $ cache_dir_arg $ prune_arg $ portfolio_arg
-      $ no_cse_arg $ no_known_bits_arg $ semantic_cache_arg $ dump_cnf_arg
-      $ trace_arg $ metrics_arg)
+      $ dot $ counts $ shards_arg $ cache_dir_arg $ prune_arg $ no_cse_arg
+      $ no_known_bits_arg $ semantic_cache_arg $ dump_cnf_arg $ trace_arg
+      $ metrics_arg)
 
 (* --- synthlc ---------------------------------------------------------- *)
 
 let synthlc_cmd =
-  let run dname meta_path instructions txs depth episodes static jobs cache_dir
-      prune imprecise portfolio no_cse no_known_bits semantic_cache dump_cnf
+  let run dname meta_path instructions transmitters depth episodes static jobs
+      cache_dir prune imprecise no_cse no_known_bits semantic_cache dump_cnf
       trace metrics =
     let src = resolve_design ~cmd:"synthlc" ?meta:meta_path dname in
     with_obs ~trace ~metrics @@ fun () ->
-    let transmitters =
-      List.filter_map Isa.opcode_of_mnemonic txs
-    in
     let design = builder_of ~cmd:"synthlc" src in
     let iuv_pc = iuv_pc_of src in
     let stimulus = rotating_stimulus_of src in
-    let config = config_of depth episodes ~portfolio ~no_cse ~no_known_bits in
+    let config = config_of depth episodes ~no_cse ~no_known_bits in
     let kinds =
       [ Synthlc.Types.Intrinsic; Synthlc.Types.Dynamic_older; Synthlc.Types.Dynamic_younger ]
       @ (if static then [ Synthlc.Types.Static ] else [])
@@ -490,7 +504,7 @@ let synthlc_cmd =
     Arg.(value & opt instrs_conv [ Isa.make ~rd:1 ~rs1:2 ~rs2:3 Isa.DIV ] & info [ "i"; "instrs" ] ~docv:"ASM;..." ~doc:"Transponder instructions, separated by $(b,;) or $(b,,) (a segment starting with a mnemonic begins a new instruction).")
   in
   let txs =
-    Arg.(value & opt (list string) [ "div"; "lw"; "sw"; "beq"; "add" ] & info [ "t"; "transmitters" ] ~docv:"OPS" ~doc:"Candidate transmitter opcodes.")
+    Arg.(value & opt (list opcode_conv) Isa.[ DIV; LW; SW; BEQ; ADD ] & info [ "t"; "transmitters" ] ~docv:"OPS" ~doc:"Candidate transmitter opcodes, by mnemonic.")
   in
   let static = Arg.(value & flag & info [ "static" ] ~doc:"Also analyze static transmitters (Assumption 3).") in
   Cmd.v
@@ -498,16 +512,14 @@ let synthlc_cmd =
     Term.(
       const run $ design_arg $ meta_arg $ instrs $ txs $ depth_arg
       $ episodes_arg $ static $ jobs_arg $ cache_dir_arg $ prune_arg
-      $ imprecise_ift_arg $ portfolio_arg $ no_cse_arg $ no_known_bits_arg
+      $ imprecise_ift_arg $ no_cse_arg $ no_known_bits_arg
       $ semantic_cache_arg $ dump_cnf_arg $ trace_arg $ metrics_arg)
 
 (* --- scsafe ----------------------------------------------------------- *)
 
 let scsafe_cmd =
   let run program_src secret trials =
-    let program =
-      match Isa.assemble program_src with Ok p -> p | Error e -> failwith e
-    in
+    let program = assemble_or_exit ~cmd:"scsafe" program_src in
     match
       Synthlc.Scsafe.find_violation ~trials
         ~design:(fun () -> Designs.Core.build Designs.Core.baseline)
@@ -598,12 +610,10 @@ let lint_cmd =
         (fun n -> (not (is_json_path n)) && not (List.mem n design_names))
         names
     in
-    if unknown <> [] then begin
-      Printf.eprintf "lint: unknown design(s): %s (expected: %s)\n"
+    if unknown <> [] then
+      harness_error ~cmd:"lint" "unknown design(s): %s (expected: %s)"
         (String.concat ", " unknown)
         (String.concat ", " design_names);
-      exit 2
-    end;
     let names = if names = [] then design_names else names in
     let reports =
       List.map
@@ -678,8 +688,7 @@ let fuzz_cmd =
         summary.Fuzz.Driver.skipped summary.Fuzz.Driver.total_time_s;
       exit (Fuzz.Driver.exit_code summary)
     | exception e ->
-      Printf.eprintf "fuzz: harness error: %s\n" (Printexc.to_string e);
-      exit 2
+      harness_error ~cmd:"fuzz" "harness error: %s" (Printexc.to_string e)
   in
   let seed =
     Arg.(value & opt int 42 & info [ "seed" ] ~docv:"S" ~doc:"Campaign seed; design $(i,i) is derived from (seed, i) alone.")
@@ -717,8 +726,8 @@ let fuzz_cmd =
                runs a differential oracle battery over it: µLint admission, \
                elaboration determinism, -j1 vs -j2 digest equality, cold vs \
                warm verdict-cache bit-identity, static prune on/off/audit \
-               digest identity, --portfolio 2 digest equality, and static \
-               leakage-grid containment of every dynamically tagged flow.";
+               digest identity, and static leakage-grid containment of \
+               every dynamically tagged flow.";
            `P "On a failure the config is shrunk along its parameter \
                lattice (the shrunk config must reproduce the same oracle \
                failure class) and a one-line reproducer is printed: \
@@ -778,8 +787,7 @@ let import_cmd =
     | exception Frontend.Diag.Rejected r ->
       if json then print_string (Lint.Diagnostic.to_json [ r ])
       else Format.printf "%a@." Lint.Diagnostic.pp_report r;
-      Printf.eprintf "import: rejected %s\n" path;
-      exit 2
+      harness_error ~cmd:"import" "rejected %s" path
   in
   let path =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"DESIGN.json" ~doc:"Yosys $(b,write_json) netlist to admit.")
@@ -815,11 +823,9 @@ let import_cmd =
 
 let export_cmd =
   let run dname out meta_out gate =
-    if not (List.mem dname design_names) then begin
-      Printf.eprintf "export: unknown design %S (expected: %s)\n" dname
+    if not (List.mem dname design_names) then
+      harness_error ~cmd:"export" "unknown design %S (expected: %s)" dname
         (String.concat ", " design_names);
-      exit 2
-    end;
     let meta = build_design dname in
     let out =
       match out with Some o -> o | None -> meta.Designs.Meta.design_name ^ ".json"

@@ -9,7 +9,6 @@ type oracle =
   | O_jobs
   | O_cache_warm
   | O_prune
-  | O_portfolio
   | O_grid
 
 type verdict = Pass | Fail of string | Skipped
@@ -37,7 +36,6 @@ let all_oracles =
     O_jobs;
     O_cache_warm;
     O_prune;
-    O_portfolio;
     O_grid;
   ]
 
@@ -50,7 +48,6 @@ let oracle_name = function
   | O_jobs -> "jobs"
   | O_cache_warm -> "cache-warm"
   | O_prune -> "prune"
-  | O_portfolio -> "portfolio"
   | O_grid -> "grid"
 
 let failure o =
@@ -58,7 +55,7 @@ let failure o =
     (fun (orc, v) -> match v with Fail m -> Some (orc, m) | _ -> None)
     o.verdicts
 
-let config_of ~depth ~episodes ~portfolio =
+let config_of ~depth ~episodes =
   {
     Mc.Checker.default_config with
     Mc.Checker.bmc_depth = depth;
@@ -66,14 +63,13 @@ let config_of ~depth ~episodes ~portfolio =
     induction_max_k = 2;
     sim_episodes = episodes;
     sim_cycles = 44;
-    portfolio_domains = portfolio;
   }
 
 (* One Engine.run over the generated design.  Exceptions (including the
    audit tripwires' [failwith]) are turned into [Error msg] so the caller
    can attribute them to the oracle the run serves. *)
-let engine_run ~cache ~depth ~episodes ~jobs ~portfolio ~prune cfg =
-  let config = config_of ~depth ~episodes ~portfolio in
+let engine_run ~cache ~depth ~episodes ~jobs ~prune cfg =
+  let config = config_of ~depth ~episodes in
   try
     Ok
       (Synthlc.Engine.run ~cache ~config ~synth_config:config ~prune
@@ -151,9 +147,9 @@ let run ?(depth = 6) ?(episodes = 3) ?workdir cfg =
       (Printf.sprintf "vcache_%d_%s" (Unix.getpid ()) (Gen.name cfg))
   in
   rm_rf cache_dir;
-  let check_engine ?(prune = Mc.Prune.On) ~jobs ~portfolio ~judge () =
+  let check_engine ?(prune = Mc.Prune.On) ~jobs ~judge () =
     let cache = Vcache.create ~dir:cache_dir () in
-    match engine_run ~cache ~depth ~episodes ~jobs ~portfolio ~prune cfg with
+    match engine_run ~cache ~depth ~episodes ~jobs ~prune cfg with
     | Error m -> Some m
     | Ok r -> judge cache r
   in
@@ -294,7 +290,7 @@ let run ?(depth = 6) ?(episodes = 3) ?workdir cfg =
     continue
     && step O_jobs (fun () ->
            match
-             check_engine ~jobs:1 ~portfolio:1
+             check_engine ~jobs:1
                ~judge:(fun _cache r ->
                  report := Some r;
                  base_digest := Synthlc.Engine.report_digest r;
@@ -303,7 +299,7 @@ let run ?(depth = 6) ?(episodes = 3) ?workdir cfg =
            with
            | Some m -> Some ("baseline run: " ^ m)
            | None ->
-             check_engine ~jobs:2 ~portfolio:1
+             check_engine ~jobs:2
                ~judge:(fun cache r ->
                  match digest_equal "-j2" r with
                  | Some m -> Some m
@@ -334,14 +330,8 @@ let run ?(depth = 6) ?(episodes = 3) ?workdir cfg =
   let continue =
     continue
     && step O_prune
-         (check_engine ~prune:Mc.Prune.Audit ~jobs:1 ~portfolio:1
+         (check_engine ~prune:Mc.Prune.Audit ~jobs:1
             ~judge:(fun _cache r -> digest_equal "--prune audit" r))
-  in
-  let continue =
-    continue
-    && step O_portfolio
-         (check_engine ~jobs:1 ~portfolio:2
-            ~judge:(fun _cache r -> digest_equal "--portfolio 2" r))
   in
   let _ =
     continue

@@ -23,7 +23,6 @@
       abstraction, taint cone and both known-bits refinements) re-checked
       in the trailing batch, tripwires armed — reproduces the pruned run's
       digest;
-    - [O_portfolio]: [--portfolio 2] reproduces the sequential digest;
     - [O_grid]: every dynamically tagged decision destination lies inside
       the static leakage grid of its operand (taint-grid vs dynamic IFT
       containment).
@@ -42,7 +41,6 @@ type oracle =
   | O_jobs
   | O_cache_warm
   | O_prune
-  | O_portfolio
   | O_grid
 
 type verdict = Pass | Fail of string | Skipped

@@ -135,7 +135,6 @@ type config = {
   encode_cse : bool;  (* structural hashing in the Tseitin encoding *)
   known_bits : bool;  (* known-bits substitution: BMC + induction strengthening *)
   reduce_db : bool;  (* periodic learnt-clause DB reduction *)
-  portfolio_domains : int;  (* <= 1 disables portfolio racing *)
 }
 
 let default_config =
@@ -150,7 +149,6 @@ let default_config =
     encode_cse = true;
     known_bits = true;
     reduce_db = true;
-    portfolio_domains = 1;
   }
 
 type t = {
@@ -189,10 +187,7 @@ type t = {
    the stimulus closure's identity).  The per-property key then appends
    the cover literals — see [cover_key]. *)
 (* [encode_cse], [known_bits] and [reduce_db] are part of the key: they
-   change the solver trajectory and hence which engine decides a verdict.
-   [portfolio_domains] deliberately is not — the canonical solver's verdict
-   and model are bit-identical whatever the domain count (see
-   Solver.solve_portfolio). *)
+   change the solver trajectory and hence which engine decides a verdict. *)
 let config_key (config : config) =
   Printf.sprintf "c:%d.%d.%d.%d.%d.%d.%d|e:%b.%b.%b" config.bmc_depth
     config.bmc_conflicts config.induction_max_k config.induction_conflicts
@@ -582,24 +577,7 @@ let compute_sat t cover =
     let act = Solver.pos (Solver.new_var s) in
     Solver.add_clause s (Solver.negate act :: List.map snd gates);
     let result =
-      if t.config.portfolio_domains > 1 then begin
-        let pr =
-          Solver.solve_portfolio ~assumptions:[ act ]
-            ~max_conflicts:t.config.bmc_conflicts
-            ~domains:t.config.portfolio_domains s
-        in
-        if Obs.enabled () then begin
-          Obs.Metrics.incr "sat.portfolio_solves";
-          Obs.Metrics.incr "sat.portfolio_shared" ~by:pr.Solver.p_shared;
-          Obs.Metrics.incr "sat.portfolio_imported" ~by:pr.Solver.p_imported;
-          Obs.Metrics.incr "sat.portfolio_racer_decisive"
-            ~by:pr.Solver.p_racer_decisive
-        end;
-        pr.Solver.p_result
-      end
-      else
-        Solver.solve ~assumptions:[ act ] ~max_conflicts:t.config.bmc_conflicts
-          s
+      Solver.solve ~assumptions:[ act ] ~max_conflicts:t.config.bmc_conflicts s
     in
     (* Retire this property's activation clause. *)
     Solver.add_clause s [ Solver.negate act ];

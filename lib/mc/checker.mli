@@ -109,11 +109,6 @@ type config = {
   reduce_db : bool;
       (** Periodic learnt-clause DB reduction (default [true]).  Also part
           of the cache key, for the same reason. *)
-  portfolio_domains : int;
-      (** Race this many diversified solver configurations per hard BMC
-          query (default 1 = off).  Deliberately {e not} part of the cache
-          key: the canonical solver's verdict and model are bit-identical
-          whatever the domain count — see {!Sat.Solver.solve_portfolio}. *)
 }
 
 val default_config : config

@@ -43,13 +43,18 @@ type episode = {
   decision_obs : (string * SS.t) list;
 }
 
-let run_inner ?cache ?cache_salt ?config ?stimulus ?(semantic_cache = false)
-    ?(revisit_count_labels = [])
-    ?(max_candidate_sets = 4096) ?(max_revisit_count = 12) ?(presim_episodes = 64)
-    ?(presim_cycles = 48) ?(prune = Mc.Prune.On) ?dump_cnf ~shards
-    ~(pool : Pool.t option) ~meta ~iuv ~iuv_pc () =
+(* Search bounds: candidate PL sets kept per enumeration, the longest
+   revisit run probed (§V-B6), and cycles per simulation pre-pass episode. *)
+let max_candidate_sets = 4096
+let max_revisit_count = 12
+let presim_cycles = 48
+
+let run_inner ?cache ?config ?stimulus ?(semantic_cache = false)
+    ?(revisit_count_labels = []) ?(presim_episodes = 64)
+    ?(prune = Mc.Prune.On) ?dump_cnf ~shards ~(pool : Pool.t option) ~meta
+    ~iuv ~iuv_pc () =
   let h =
-    Harness.create ?cache ?cache_salt ?config ?stimulus ~semantic_cache
+    Harness.create ?cache ?config ?stimulus ~semantic_cache
       ~revisit_count_labels ~meta ~iuv ~iuv_pc ()
   in
   let nl = meta.Designs.Meta.nl in
@@ -133,7 +138,7 @@ let run_inner ?cache ?cache_salt ?config ?stimulus ?(semantic_cache = false)
             let cfg =
               { base with Checker.seed = Pool.derive_seed ~base:base.Checker.seed ~index:k }
             in
-            Checker.create ?cache:shard_caches.(k) ?cache_salt ?stimulus
+            Checker.create ?cache:shard_caches.(k) ?stimulus
               ~config:cfg ~semantic_cache ~assumes:(Harness.assumes h) nl)
   in
   let stage names =
@@ -775,23 +780,16 @@ let run_inner ?cache ?cache_salt ?config ?stimulus ?(semantic_cache = false)
           (Checker.Stats.create ()) cks);
   }
 
-let run ?cache ?cache_salt ?config ?stimulus ?semantic_cache
-    ?revisit_count_labels
-    ?max_candidate_sets ?max_revisit_count ?presim_episodes ?presim_cycles
-    ?prune ?dump_cnf ?(shards = 1) ?pool ~meta ~iuv ~iuv_pc () =
+let run ?cache ?config ?stimulus ?semantic_cache ?revisit_count_labels
+    ?presim_episodes ?prune ?dump_cnf ?(shards = 1) ~meta ~iuv ~iuv_pc () =
   let shards = max 1 shards in
   let inner pool =
-    run_inner ?cache ?cache_salt ?config ?stimulus ?semantic_cache
-      ?revisit_count_labels
-      ?max_candidate_sets ?max_revisit_count ?presim_episodes ?presim_cycles
-      ?prune ?dump_cnf ~shards ~pool ~meta ~iuv ~iuv_pc ()
+    run_inner ?cache ?config ?stimulus ?semantic_cache ?revisit_count_labels
+      ?presim_episodes ?prune ?dump_cnf ~shards ~pool ~meta ~iuv ~iuv_pc ()
   in
   let dispatch () =
-    match pool with
-    | Some p -> inner (Some p)
-    | None ->
-      if shards = 1 then inner None
-      else Pool.with_pool ~jobs:shards (fun p -> inner (Some p))
+    if shards = 1 then inner None
+    else Pool.with_pool ~jobs:shards (fun p -> inner (Some p))
   in
   if Obs.enabled () then
     Obs.with_span "synth.run" ~args:[ ("instr", Isa.to_string iuv) ] dispatch

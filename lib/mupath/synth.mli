@@ -64,19 +64,14 @@ type result = {
 
 val run :
   ?cache:Vcache.t ->
-  ?cache_salt:string ->
   ?config:Mc.Checker.config ->
   ?stimulus:(Sim.t -> int -> unit) ->
   ?semantic_cache:bool ->
   ?revisit_count_labels:string list ->
-  ?max_candidate_sets:int ->
-  ?max_revisit_count:int ->
   ?presim_episodes:int ->
-  ?presim_cycles:int ->
   ?prune:Mc.Prune.t ->
   ?dump_cnf:string ->
   ?shards:int ->
-  ?pool:Pool.t ->
   meta:Designs.Meta.t ->
   iuv:Isa.t ->
   iuv_pc:int ->
@@ -114,12 +109,12 @@ val run :
     [shards] (default 1) turns on property sharding: K checker instances
     over the same monitored netlist, with the independent PL / PL-set cover
     batches of a stage split round-robin across them and evaluated in
-    parallel (on [pool] if given, else a transient pool of K domains).
+    parallel on a transient pool of K domains.
     Sharding trades the learned-clause sharing of one incremental solver
     for cores, so per-property engine verdicts (e.g. sim-discharged vs
     BMC) can differ from the unsharded run — the µPATH set itself is
     engine-independent.  For a fixed [shards] value results are
-    deterministic regardless of the pool's job count. *)
+    deterministic. *)
 
 val to_uhb_paths : result -> Uhb.Path.t list
 val to_uhb_decisions : result -> Uhb.Decision.t list

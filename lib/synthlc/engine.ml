@@ -272,7 +272,7 @@ let analyze_transponder ?cache ?config ?synth_config ?semantic_cache
 let run ?cache ?config ?synth_config ?semantic_cache ?prune ?dump_cnf
     ?(precise = true)
     ?(stimulus : stimulus_builder option)
-    ?(exclude_sources = []) ?(jobs = 1) ?pool ~(design : unit -> Meta.t)
+    ?(exclude_sources = []) ?(jobs = 1) ~(design : unit -> Meta.t)
     ~(instructions : Isa.t list) ~(transmitters : Isa.opcode list)
     ~(kinds : Types.transmitter_kind list) ~(revisit_count_labels : string list)
     ~iuv_pc () =
@@ -322,13 +322,10 @@ let run ?cache ?config ?synth_config ?semantic_cache ?prune ?dump_cnf
           Obs.with_span "engine.task" ~args:[ ("instr", Isa.to_string instr) ] go)
     else go ()
   in
-  let jobs = match pool with Some p -> Pool.jobs p | None -> max 1 jobs in
+  let jobs = max 1 jobs in
   let dispatch () =
-    match pool with
-    | Some p -> Pool.mapi p ~f:analyze instructions
-    | None ->
-      if jobs = 1 then List.mapi analyze instructions
-      else Pool.with_pool ~jobs (fun p -> Pool.mapi p ~f:analyze instructions)
+    if jobs = 1 then List.mapi analyze instructions
+    else Pool.with_pool ~jobs (fun p -> Pool.mapi p ~f:analyze instructions)
   in
   let transponders =
     if Obs.enabled () then

@@ -113,8 +113,7 @@ val analyze_transponder :
     semantic effect.
 
     [jobs] fans {!analyze_transponder} out across that many domains (one
-    fresh design + checker per instruction); [pool] reuses an existing
-    {!Pool.t} instead (taking its job count).  Every task's checker seed is
+    fresh design + checker per instruction).  Every task's checker seed is
     derived deterministically from [(config.seed, task index)], so the
     report is bit-identical for every [jobs] value, including 1.
 
@@ -150,7 +149,6 @@ val run :
   ?stimulus:stimulus_builder ->
   ?exclude_sources:string list ->
   ?jobs:int ->
-  ?pool:Pool.t ->
   design:(unit -> Designs.Meta.t) ->
   instructions:Isa.t list ->
   transmitters:Isa.opcode list ->

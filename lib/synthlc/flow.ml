@@ -36,7 +36,7 @@ let transmitter_pc ~iuv_pc = function
   | Types.Dynamic_younger -> iuv_pc + 1
   | Types.Static -> iuv_pc - 2
 
-let analyze_inner ?cache ?cache_salt ?config ?stimulus ?semantic_cache
+let analyze_inner ?cache ?config ?stimulus ?semantic_cache
     ?(precise = true)
     ?(prune = Mc.Prune.On)
     ~(design : unit -> Meta.t)
@@ -241,10 +241,7 @@ let analyze_inner ?cache ?cache_salt ?config ?stimulus ?semantic_cache
   (* Imprecise IFT changes what every cover means even if the instrumented
      netlist digest were to collide, so fold the mode into the verdict-cache
      namespace explicitly. *)
-  let cache_salt =
-    if precise then cache_salt
-    else Some (Option.value cache_salt ~default:"" ^ "|ift:imprecise")
-  in
+  let cache_salt = if precise then None else Some "|ift:imprecise" in
   let h =
     Mupath.Harness.create ?cache ?cache_salt ?config ?stimulus ?semantic_cache
       ~meta ~iuv:transponder ~iuv_pc ()
@@ -360,11 +357,10 @@ let analyze_inner ?cache ?cache_salt ?config ?stimulus ?semantic_cache
   stats.q_time <- Unix.gettimeofday () -. t_start;
   { tagged = List.rev !tagged; static_live; stats }
 
-let analyze ?cache ?cache_salt ?config ?stimulus ?semantic_cache ?precise
-    ?prune ~design ~transponder ~decisions ~transmitters ~kind ~operand
-    ~iuv_pc () =
+let analyze ?cache ?config ?stimulus ?semantic_cache ?precise ?prune ~design
+    ~transponder ~decisions ~transmitters ~kind ~operand ~iuv_pc () =
   let go () =
-    analyze_inner ?cache ?cache_salt ?config ?stimulus ?semantic_cache ?precise
+    analyze_inner ?cache ?config ?stimulus ?semantic_cache ?precise
       ?prune ~design ~transponder ~decisions ~transmitters ~kind ~operand
       ~iuv_pc ()
   in

@@ -46,7 +46,6 @@ val transmitter_pc : iuv_pc:int -> Types.transmitter_kind -> int
 
 val analyze :
   ?cache:Vcache.t ->
-  ?cache_salt:string ->
   ?config:Mc.Checker.config ->
   ?stimulus:(Sim.t -> int -> unit) ->
   ?semantic_cache:bool ->

@@ -55,9 +55,7 @@ project_semantic() {
           kv("prune.\($w).flow_absint"; .flow_absint),
           kv("prune.\($w).trailing"; .trailing)),
       (.sat? // empty
-        | kv("sat.digest_identical"; .digest_identical),
-          kv("sat.report_digest"; .report_digest),
-          kv("sat.portfolio_domains"; .portfolio_domains)),
+        | kv("sat.report_digest"; .report_digest)),
       (.obs? // empty
         | kv("obs.digest_identical"; .digest_identical),
           kv("obs.events"; .events)),

@@ -245,7 +245,28 @@ let test_cli_unknown_design_agreement () =
       "mupath -d no_such_design -i 'add r1, r2, r3'";
       "synthlc -d no_such_design";
       "lint no_such_design";
-    ]
+      "sim -d no_such_design";
+    ];
+  Alcotest.(check int) "sim exits 2 on a missing program file" 2
+    (exit_of (Printf.sprintf "%s sim -d ibex_lite -p no_such_program.s" cli));
+  Alcotest.(check int) "scsafe exits 2 on a malformed program" 2
+    (exit_of (Printf.sprintf "%s scsafe -p bogus" cli))
+
+(* Exit status and stderr of one CLI run. *)
+let exit_and_stderr cmdline =
+  let err = Filename.temp_file "cli" ".err" in
+  let code = Sys.command (Printf.sprintf "%s >/dev/null 2>%s" cmdline err) in
+  let msg = In_channel.with_open_text err In_channel.input_all in
+  Sys.remove err;
+  (code, msg)
+
+let test_cli_unknown_transmitter () =
+  let code, msg =
+    exit_and_stderr (Printf.sprintf "%s synthlc -d gated -t add,bogus" cli)
+  in
+  Alcotest.(check int) "usage error exit" 124 code;
+  Alcotest.(check bool) "message names the mnemonic" true
+    (Test_formats.contains msg "\"bogus\"")
 
 let test_cli_import_contract () =
   Alcotest.(check int) "import of the committed example exits 0" 0
@@ -284,6 +305,8 @@ let suite =
       QCheck_alcotest.to_alcotest qcheck_roundtrip;
       Alcotest.test_case "mupath/synthlc/lint agree on exit 2" `Quick
         test_cli_unknown_design_agreement;
+      Alcotest.test_case "synthlc -t rejects an unknown mnemonic" `Quick
+        test_cli_unknown_transmitter;
       Alcotest.test_case "import CLI exit contract" `Quick
         test_cli_import_contract;
     ] )

@@ -267,23 +267,6 @@ let qcheck_tests =
                cls
            | S.Unsat -> not (brute_force nv cls)
            | S.Unknown -> false));
-    QCheck_alcotest.to_alcotest
-      (QCheck.Test.make ~count:60
-         ~name:"portfolio verdict and model match sequential" arb_cnf
-         (fun (nv, cls) ->
-           let seq = mk nv cls in
-           let r_seq = S.solve seq in
-           let s = mk nv cls in
-           let pr = S.solve_portfolio ~domains:3 s in
-           pr.S.p_result = r_seq && pr.S.p_agree
-           &&
-           (* The canonical solver is unperturbed, so on Sat its model is
-              bit-identical to the sequential one. *)
-           match r_seq with
-           | S.Sat ->
-             List.init nv (fun v -> v)
-             |> List.for_all (fun v -> S.value s v = S.value seq v)
-           | _ -> true));
   ]
 
 let suite =
